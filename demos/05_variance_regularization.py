@@ -56,7 +56,7 @@ for nu, (cfg, result) in runs.items():
     sigmas, nlls = [], []
     for clip, voicing in zip(held_out.clips, held_out.voicing):
         mels = log_mel_features(AudioBuffer(clip, sr), cfg.features)
-        st = model.predictive_stats(clip, mels)
+        st = model.teacher_forced(clip, mels, compute_grads=False)
         frame_idx = model._frame_of_step(st["sigma"].shape[1], len(voicing))
         voiced = voicing[frame_idx] > 0.8
         if voiced.any():

@@ -158,7 +158,7 @@ def cmd_eval(args) -> int:
             if len(frames) == 0:
                 missing.append(f"{entry.clean_path}: too short")
                 continue
-            stats = model.predictive_stats(audio.samples, frames)
+            stats = model.teacher_forced(audio.samples, frames, compute_grads=False)
             sigma = stats["sigma_all"][0]  # (T, N)
             voicing = voicing_per_frame(
                 audio.samples, feat.window_length, feat.hop_length, feat.sample_rate

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -97,6 +98,8 @@ class ModelConfig:
             raise ConfigError("band rate must be an integer multiple of 8x frame_rate")
         if self.gru_blocks > 1 and self.gru_state % self.gru_blocks != 0:
             raise ConfigError("gru_state must be divisible by gru_blocks")
+        if self.n_mix < 1:
+            raise ConfigError("n_mix must be >= 1")
 
 
 @dataclass
@@ -187,6 +190,13 @@ class CodecConfig:
             raise ConfigError("feature and model sample rates differ")
         if self.features.n_mels != self.model.n_mels:
             raise ConfigError("feature and model mel counts differ")
+        if self.features.frame_rate != self.model.frame_rate:
+            raise ConfigError("feature hop and model frame rate differ")
+        q = self.quantizer
+        n_splits = math.ceil(self.features.n_mels * q.stack / q.split_dim)
+        if q.bits_per_supervector > n_splits * q.max_bits_per_split:
+            raise ConfigError("quantizer.bits_per_supervector exceeds "
+                              "n_splits * max_bits_per_split")
         if not 1 <= self.train.reg_bands <= self.model.n_bands:
             raise ConfigError("train.reg_bands must be in 1..model.n_bands")
 
@@ -243,9 +253,12 @@ def _coerce(text: str, target_type: type):
             raise ConfigError(f"expected an integer, got {text!r}") from exc
     if target_type is float:
         try:
-            return float(text)
+            value = float(text)
         except ValueError as exc:
             raise ConfigError(f"expected a number, got {text!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"expected a finite number, got {text!r}")
+        return value
     return text
 
 

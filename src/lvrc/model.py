@@ -209,8 +209,8 @@ class CodecModel:
 
         Returns a dict with the scalar loss, its NLL and variance terms
         (nats per band sample), per-element sigma_q on the regularized
-        bands, and — when compute_grads — parameter gradients accumulated
-        into the model.
+        bands ("sigma") and on every band ("sigma_all"), and — when
+        compute_grads — parameter gradients accumulated into the model.
 
         The loss is mean(-log q) over all bands and steps plus
         nu * mean(voicing * reg_term) over the first `reg_bands` bands,
@@ -240,26 +240,11 @@ class CodecModel:
             flat.reshape(batch, steps, n_bands, 3 * cfg.n_mix), cfg.n_mix
         )
 
-        targets = bands.transpose(0, 2, 1)  # (B, T, N)
-        if baseline is not None and baseline.gamma0 > 0.0:
-            nll = -mol.baseline_log_prob(targets, raw, baseline, "train")
-            _, d_logits, d_locs, d_ls = mol.nll_grad(targets, raw)  # grads of the plain term
-            # Rescale: d(-log q_train)/dtheta = w * d(-log q_main)/dtheta with
-            # w = (1-g0) q_main / q_train.
-            main = mol.log_prob(targets, mol.constrain(raw))
-            w = np.exp(np.log1p(-baseline.gamma0) + main + nll)[..., None]
-            d_logits, d_locs, d_ls = w * d_logits, w * d_locs, w * d_ls
-        else:
-            nll, d_logits, d_locs, d_ls = mol.nll_grad(targets, raw)
-
-        neg_ll = float(nll.mean())
+        terms = mol.head_terms(bands.transpose(0, 2, 1), raw, reg_bands, var_floor,
+                               regularizer, baseline)
+        neg_ll = float(terms.nll.mean())
         loss = neg_ll
-
-        raw_reg = mol.RawMoLParams(raw.logits[:, :, :reg_bands], raw.locs[:, :, :reg_bands],
-                                   raw.log_scales[:, :, :reg_bands])
-        reg_term, rl, rm, rs = mol.reg_grad(raw_reg, var_floor, regularizer)
-        var_reg, _, _, _ = mol.variance_grad(raw_reg)
-        sigma = np.sqrt(np.maximum(var_reg, 0.0))
+        sigma_all = np.sqrt(np.maximum(terms.var, 0.0))
 
         if voicing is None:
             weights = np.ones((batch, steps), self.dtype)
@@ -267,7 +252,7 @@ class CodecModel:
             voicing = np.asarray(voicing, dtype=self.dtype)
             frame_idx = self._frame_of_step(steps, voicing.shape[1])
             weights = voicing[:, frame_idx]
-        jvar = float(np.mean(weights[..., None] * reg_term))
+        jvar = float(np.mean(weights[..., None] * terms.reg))
         if nu != 0.0:
             loss = neg_ll + nu * jvar
         if not np.isfinite(loss):
@@ -280,27 +265,27 @@ class CodecModel:
             "loss": loss,
             "nll": neg_ll,
             "jvar": jvar,
-            "sigma": sigma,
+            # a contiguous copy: sums over a strided view round in another order
+            "sigma": np.ascontiguousarray(sigma_all[..., :reg_bands]),
+            "sigma_all": sigma_all,
             "weights": weights,
             "steps": steps,
         }
         if not compute_grads:
-            var_all = mol.mixture_variance(mol.constrain(raw))
-            result["sigma_all"] = np.sqrt(np.maximum(var_all, 0.0))
             return result
 
-        scale_nll = 1.0 / nll.size
+        scale_nll = 1.0 / terms.nll.size
         d_raw = np.zeros_like(flat).reshape(batch, steps, n_bands, 3 * cfg.n_mix)
         k = cfg.n_mix
-        d_raw[..., :k] = d_logits * scale_nll
-        d_raw[..., k : 2 * k] = d_locs * scale_nll
-        d_raw[..., 2 * k :] = d_ls * scale_nll
+        d_raw[..., :k] = terms.d_nll.logits * scale_nll
+        d_raw[..., k : 2 * k] = terms.d_nll.locs * scale_nll
+        d_raw[..., 2 * k :] = terms.d_nll.log_scales * scale_nll
         if nu != 0.0:
-            scale_reg = nu / reg_term.size
+            scale_reg = nu / terms.reg.size
             wr = (weights[..., None, None] * scale_reg).astype(self.dtype)
-            d_raw[:, :, :reg_bands, :k] += wr * rl
-            d_raw[:, :, :reg_bands, k : 2 * k] += wr * rm
-            d_raw[:, :, :reg_bands, 2 * k :] += wr * rs
+            d_raw[:, :, :reg_bands, :k] += wr * terms.d_reg.logits
+            d_raw[:, :, :reg_bands, k : 2 * k] += wr * terms.d_reg.locs
+            d_raw[:, :, :reg_bands, 2 * k :] += wr * terms.d_reg.log_scales
 
         d_flat = d_raw.reshape(batch, steps, n_bands * 3 * k)
         d_hs, dw, db = dense_backward(hs, self.out_w.value, d_flat)
@@ -323,19 +308,6 @@ class CodecModel:
         d_cond = d_tiled.reshape(batch, cond.shape[1], tile, cfg.gru_state).sum(axis=2)
         self.cond.backward(d_cond, acts)
         return result
-
-    def nll_eval(self, audio, mels) -> dict:
-        """Teacher-forced NLL in nats and bits per band sample."""
-        res = self.teacher_forced(audio, mels, nu=0.0, compute_grads=False)
-        return {
-            "nats_per_sample": res["nll"],
-            "bits_per_sample": res["nll"] / np.log(2.0),
-        }
-
-    def predictive_stats(self, audio, mels) -> dict:
-        """Per-step sigma_q on the regularized bands plus the NLL terms."""
-        res = self.teacher_forced(audio, mels, nu=0.0, compute_grads=False)
-        return res
 
     def generate(self, mels: np.ndarray, rng: np.random.Generator, seconds: float) -> AudioBuffer:
         """Autoregressive sampling for `seconds` of audio.

@@ -1,9 +1,11 @@
 """Mixture-of-logistics predictive distribution.
 
 Parameterization, stable log-likelihood, sampling, closed-form mixture
-variance, the two predictive-variance regularizers (linear and log), the
-broad-baseline mixture variant, and exact analytic gradients of the
-combined objective with respect to the unconstrained parameters.
+variance, the two predictive-variance regularizers (linear and log) and
+the broad-baseline mixture variant. `head_terms` is the training head's
+one forward/backward: it constrains the raw output once and returns the
+NLL, the mixture variance and the regularizer with their exact gradients
+w.r.t. the unconstrained parameters.
 
 All functions are vectorized: parameter arrays carry the mixture axis
 last, and an arbitrary batch shape in front.
@@ -193,19 +195,30 @@ def baseline_log_prob(x, raw: RawMoLParams, spec: BaselineSpec, mode: str):
     main = log_prob(x, constrain(raw))
     if mode == "infer":
         return main
+    return _with_baseline(x, main, spec)
+
+
+def _with_baseline(x, main, spec: BaselineSpec):
+    """Train-mode log density given main = log q(x) of the learned mixture."""
     log_g0 = np.log(spec.gamma0) if spec.gamma0 > 0.0 else -np.inf
     z0 = (np.asarray(x, dtype=np.float64) - spec.mu0) / spec.s0
     base_log_pdf = -z0 - 2.0 * softplus(-z0) - np.log(spec.s0)
     return np.logaddexp(log_g0 + base_log_pdf, np.log1p(-spec.gamma0) + main)
 
 
-def nll_grad(x, raw: RawMoLParams):
+def scale_active(raw: RawMoLParams) -> np.ndarray:
+    """Clamp mask: 1 where the exp link of a scale is inside [S_MIN, S_MAX], else 0."""
+    s_raw = np.exp(np.asarray(raw.log_scales, dtype=np.float64))
+    return ((s_raw > S_MIN) & (s_raw < S_MAX)).astype(np.float64)
+
+
+def nll_grad(x, p: MoLParams, active: np.ndarray):
     """Negative log-likelihood and its exact gradient w.r.t. raw parameters.
 
-    Returns (nll, d_logits, d_locs, d_log_scales), each with the batch
-    shape of x (gradients carry the trailing mixture axis).
+    `p` is the constrained mixture and `active` its clamp mask. Returns
+    (nll, d_logits, d_locs, d_log_scales), each with the batch shape of x
+    (gradients carry the trailing mixture axis).
     """
-    p = constrain(raw)
     w = _log_weighted_pdfs(x, p)
     m = np.max(w, axis=-1, keepdims=True)
     e = np.exp(w - m)
@@ -215,7 +228,6 @@ def nll_grad(x, raw: RawMoLParams):
 
     z = (np.asarray(x, dtype=np.float64)[..., None] - p.mus) / p.scales
     th = np.tanh(0.5 * z)
-    active = _scale_active(raw.log_scales)
 
     d_logits = p.gammas - resp
     d_locs = -resp * th / p.scales
@@ -223,19 +235,11 @@ def nll_grad(x, raw: RawMoLParams):
     return nll, d_logits, d_locs, d_log_scales
 
 
-def _scale_active(log_scales) -> np.ndarray:
-    """1 where the exp link is inside the clamp, 0 where clamped."""
-    s_raw = np.exp(np.asarray(log_scales, dtype=np.float64))
-    return ((s_raw > S_MIN) & (s_raw < S_MAX)).astype(np.float64)
-
-
-def variance_grad(raw: RawMoLParams):
+def variance_grad(p: MoLParams, active: np.ndarray):
     """Mixture variance and its gradient w.r.t. raw parameters."""
-    p = constrain(raw)
     mean = mixture_mean(p)
     var = mixture_variance(p)
     centered = p.mus - mean[..., None]
-    active = _scale_active(raw.log_scales)
 
     d_logits = p.gammas * (p.scales**2 * _PI2_3 + centered**2 - var[..., None])
     d_locs = 2.0 * p.gammas * centered
@@ -243,12 +247,12 @@ def variance_grad(raw: RawMoLParams):
     return var, d_logits, d_locs, d_log_scales
 
 
-def reg_grad(raw: RawMoLParams, a: float, regularizer: str):
+def reg_grad(p: MoLParams, active: np.ndarray, a: float, regularizer: str):
     """Per-element regularization term and gradient w.r.t. raw parameters.
 
     'linear' is sigma_q^2; 'log' is ln(sigma_q + a).
     """
-    var, dl, dm, ds = variance_grad(raw)
+    var, dl, dm, ds = variance_grad(p, active)
     if regularizer == "linear":
         return var, dl, dm, ds
     if regularizer == "log":
@@ -259,17 +263,40 @@ def reg_grad(raw: RawMoLParams, a: float, regularizer: str):
     raise ConfigError(f"unknown regularizer {regularizer!r}")
 
 
-def grad_all(x, raw: RawMoLParams, nu: float, a: float = 1e-4, regularizer: str = "log"):
-    """Objective -log q(x) + nu * reg and its exact gradient w.r.t. raw params.
+@dataclass
+class HeadTerms:
+    """Per-element terms of the teacher-forced objective.
 
-    Returns (value, RawMoLParams gradient holder).
+    Gradients are w.r.t. the raw parameters and are held in RawMoLParams.
     """
-    nll, dl, dm, ds = nll_grad(x, raw)
-    value = nll
-    if nu != 0.0:
-        term, rl, rm, rs = reg_grad(raw, a, regularizer)
-        value = nll + nu * term
-        dl = dl + nu * rl
-        dm = dm + nu * rm
-        ds = ds + nu * rs
-    return value, RawMoLParams(logits=dl, locs=dm, log_scales=ds)
+
+    nll: np.ndarray  # (..., N)
+    d_nll: RawMoLParams  # (..., N, K)
+    var: np.ndarray  # (..., N) mixture variance on every band
+    reg: np.ndarray  # (..., reg_bands)
+    d_reg: RawMoLParams  # (..., reg_bands, K)
+
+
+def head_terms(x, raw: RawMoLParams, reg_bands: int, a: float = 1e-4,
+               regularizer: str = "log", baseline: BaselineSpec | None = None) -> HeadTerms:
+    """NLL, mixture variance and regularizer with their gradients, from one constrain.
+
+    x has shape (..., N) with one target per band; raw carries the mixture
+    axis after it. The regularizer covers the first `reg_bands` bands.
+    With a baseline of gamma0 > 0 the NLL is that of the train-mode
+    density, and its gradient is the plain mixture's scaled by
+    (1 - gamma0) q(x) / q_train(x), the learned components' share of it.
+    """
+    p = constrain(raw)
+    active = scale_active(raw)
+    nll, dl, dm, ds = nll_grad(x, p, active)
+    if baseline is not None and baseline.gamma0 > 0.0:
+        main = -nll
+        nll = -_with_baseline(x, main, baseline)
+        w = np.exp(np.log1p(-baseline.gamma0) + main + nll)[..., None]
+        dl, dm, ds = w * dl, w * dm, w * ds
+    low = MoLParams(p.gammas[..., :reg_bands, :], p.mus[..., :reg_bands, :],
+                    p.scales[..., :reg_bands, :])
+    term, rl, rm, rs = reg_grad(low, active[..., :reg_bands, :], a, regularizer)
+    return HeadTerms(nll, RawMoLParams(dl, dm, ds), mixture_variance(p),
+                     term, RawMoLParams(rl, rm, rs))

@@ -293,14 +293,6 @@ class GRUCell:
         return sum(p.value.size for tag, p in self.params.items() if not tag.startswith("b"))
 
 
-def gru_step(x, h, weights: dict[str, np.ndarray]):
-    """Functional single GRU step from a weight dict (Uz, Rz, bz, ... )."""
-    z = _sigmoid(_matmul(x, weights["Uz"]) + _matmul(h, weights["Rz"]) + weights["bz"])
-    r = _sigmoid(_matmul(x, weights["Ur"]) + _matmul(h, weights["Rr"]) + weights["br"])
-    cand = np.tanh(_matmul(x, weights["Uh"]) + _matmul(r * h, weights["Rh"]) + weights["bh"])
-    return (1.0 - z) * h + z * cand
-
-
 # ---------------------------------------------------------------------------
 # 1-D convolutions over (batch, time, channels)
 # ---------------------------------------------------------------------------

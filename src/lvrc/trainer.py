@@ -157,8 +157,9 @@ def tone_burst_train(rng: np.random.Generator, sample_rate: int, n_samples: int,
 def noise_burst(rng: np.random.Generator, n_samples: int) -> np.ndarray:
     """Smoothed white noise burst at moderate amplitude."""
     x = rng.normal(0.0, 1.0, n_samples)
-    kernel = np.ones(5) / 5.0
-    x = np.convolve(x, kernel, mode="same")
+    # the centered slice of the full convolution: mode="same" returns the
+    # kernel's length, not n_samples, when n_samples < 5
+    x = np.convolve(x, np.ones(5) / 5.0)[2 : 2 + n_samples]
     return 0.12 * x / max(np.max(np.abs(x)), 1e-9)
 
 
@@ -308,62 +309,6 @@ def parse_manifest(path) -> list[ManifestEntry]:
     if overlap:
         raise ConfigError(f"paths in both splits: {sorted(overlap)[:3]}")
     return entries
-
-
-# ---------------------------------------------------------------------------
-# system matrix (coder attribute combinations)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SystemPreset:
-    """One column of the coder attribute matrix."""
-
-    label: str
-    var_reg: bool
-    denoised_input: bool
-    quantized: bool
-    pruned: bool
-
-    def apply(self, cfg: CodecConfig) -> CodecConfig:
-        """Wire the attributes into a copy of the configuration."""
-        import copy
-
-        out = copy.deepcopy(cfg)
-        out.train.nu = cfg.train.nu if self.var_reg and cfg.train.nu > 0 else (
-            0.01 if self.var_reg else 0.0
-        )
-        out.train.pruning = self.pruned
-        out.model.gru_blocks = 16 if self.pruned else 1
-        return out
-
-
-def build_system_matrix(var_reg: bool = False, denoised_input: bool = False,
-                        quantized: bool = False, pruned: bool = False) -> SystemPreset:
-    """Named preset for an attribute combination; no attributes is 'b'.
-
-    The denoised-input attribute only selects which input files are
-    consumed (the denoiser itself is an external system).
-    """
-    label = ""
-    if quantized or pruned:
-        label += "q"
-    if var_reg:
-        label += "v"
-    if denoised_input:
-        label += "t"
-    return SystemPreset(label or "b", var_reg, denoised_input, quantized, pruned)
-
-
-ALL_SYSTEMS = {
-    "b": build_system_matrix(),
-    "v": build_system_matrix(var_reg=True),
-    "t": build_system_matrix(denoised_input=True),
-    "vt": build_system_matrix(var_reg=True, denoised_input=True),
-    "q": build_system_matrix(quantized=True, pruned=True),
-    "qv": build_system_matrix(var_reg=True, quantized=True, pruned=True),
-    "qt": build_system_matrix(denoised_input=True, quantized=True, pruned=True),
-    "qvt": build_system_matrix(var_reg=True, denoised_input=True, quantized=True, pruned=True),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ def test_criterion_08_variance_regularization_mechanism(paired_runs, eval_clips)
         sigmas, nlls = [], []
         for clip, voicing in zip(eval_clips.clips, eval_clips.voicing):
             mels = log_mel_features(AudioBuffer(clip, sr), feat)
-            st = model.predictive_stats(clip, mels)
+            st = model.teacher_forced(clip, mels, compute_grads=False)
             frame_idx = model._frame_of_step(st["sigma"].shape[1], len(voicing))
             voiced = voicing[frame_idx] > 0.8
             if voiced.any():

@@ -1,8 +1,10 @@
 """Config file parsing, digest stability, validation."""
 
+from pathlib import Path
+
 import pytest
 
-from lvrc.config import CodecConfig, parse_config, paper_config, toy_config
+from lvrc.config import CodecConfig, load_config, parse_config, paper_config, toy_config
 from lvrc.errors import ConfigError
 
 
@@ -42,7 +44,12 @@ def test_bad_values_rejected():
         parse_config("model.gru_state = many\n")
     with pytest.raises(ConfigError):
         parse_config("features.window_ms = 10\nfeatures.hop_ms = 20\n")
-    for bad in ("train.reg_bands = 0", "train.reg_bands = 5"):
+    for bad in ("train.reg_bands = 0", "train.reg_bands = 5",
+                "features.hop_ms = 10.0",  # 100 frames/s against model.frame_rate 50
+                "model.n_mix = 0",
+                "train.nu = nan",
+                "train.lr = inf",
+                "quantizer.bits_per_supervector = 1281"):  # 160 splits of <= 8 bits
         with pytest.raises(ConfigError):
             parse_config(bad + "\n")
 
@@ -72,3 +79,9 @@ def test_paper_preset_headline_numbers():
     assert cfg.quantizer.stack == 2
     assert cfg.train.snr_min == 0.0 and cfg.train.snr_max == 40.0
     assert cfg.train.target_sparsity == 0.92
+
+
+@pytest.mark.parametrize("name,preset", [("toy", toy_config), ("paper", paper_config)])
+def test_shipped_config_matches_preset(name, preset):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"
+    assert load_config(path).to_text() == preset().to_text()

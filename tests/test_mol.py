@@ -231,22 +231,40 @@ class TestBaseline:
 
 
 class TestGradients:
-    def _fd_check(self, nu, regularizer, trials=100, seed=0):
+    """Finite differences on `head_terms`, the function teacher forcing runs."""
+
+    @staticmethod
+    def _objective(x, raw, nu, regularizer, reg_bands, baseline):
+        """sum(nll) + nu * sum(reg) and its analytic gradient, flattened."""
+        t = mol.head_terms(x, raw, reg_bands, 1e-4, regularizer, baseline)
+        grads = []
+        for d_nll, d_reg in zip((t.d_nll.logits, t.d_nll.locs, t.d_nll.log_scales),
+                                (t.d_reg.logits, t.d_reg.locs, t.d_reg.log_scales)):
+            g = d_nll.copy()
+            g[:reg_bands] += nu * d_reg
+            grads.append(g.ravel())
+        return float(np.sum(t.nll) + nu * np.sum(t.reg)), np.concatenate(grads)
+
+    def _fd_check(self, nu, regularizer, trials=100, seed=0, gamma0=0.0):
         rng = np.random.default_rng(seed)
+        baseline = mol.BaselineSpec(gamma0) if gamma0 else None
         worst = 0.0
         for _ in range(trials):
-            raw = random_raw(rng)
-            x = float(rng.normal(0, 2))
-            _, grad = mol.grad_all(x, raw, nu, 1e-4, regularizer)
-            analytic = np.concatenate([grad.logits, grad.locs, grad.log_scales])
+            n_bands, k = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            raw = mol.RawMoLParams(rng.normal(0, 1, (n_bands, k)), rng.normal(0, 1, (n_bands, k)),
+                                   rng.uniform(-2.5, 1.2, (n_bands, k)))
+            x = rng.normal(0, 2, n_bands)
+            reg_bands = int(rng.integers(1, n_bands + 1))
+            args = (x, raw, nu, regularizer, reg_bands, baseline)
+            _, analytic = self._objective(*args)
             numeric = []
             for arr in (raw.logits, raw.locs, raw.log_scales):
-                for i in range(arr.size):
+                for i in np.ndindex(arr.shape):
                     h, orig = 1e-5, arr[i]
                     arr[i] = orig + h
-                    vp, _ = mol.grad_all(x, raw, nu, 1e-4, regularizer)
+                    vp, _ = self._objective(*args)
                     arr[i] = orig - h
-                    vm, _ = mol.grad_all(x, raw, nu, 1e-4, regularizer)
+                    vm, _ = self._objective(*args)
                     arr[i] = orig
                     numeric.append((vp - vm) / (2 * h))
             worst = max(worst, fd_rel_error(analytic, np.array(numeric)))
@@ -261,18 +279,25 @@ class TestGradients:
     def test_combined_linear_regularizer_matches_fd(self):
         assert self._fd_check(0.5, "linear", seed=2) <= 1e-4
 
+    def test_baseline_gradient_matches_fd(self):
+        assert self._fd_check(0.5, "log", seed=3, gamma0=0.3) <= 1e-4
+
     def test_nu_zero_equals_nll_gradient(self):
+        # with no baseline mass the head's NLL terms are nll_grad's, bit for bit
         rng = np.random.default_rng(9)
-        raw = random_raw(rng, k=4)
-        x = 0.3
-        _, g0 = mol.grad_all(x, raw, 0.0)
-        nll, dl, dm, ds = mol.nll_grad(x, raw)
-        assert np.array_equal(g0.logits, dl)
-        assert np.array_equal(g0.locs, dm)
-        assert np.array_equal(g0.log_scales, ds)
+        raw = mol.RawMoLParams(rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (3, 4)),
+                               rng.uniform(-2.5, 1.2, (3, 4)))
+        x = rng.normal(0, 1, 3)
+        nll, dl, dm, ds = mol.nll_grad(x, mol.constrain(raw), mol.scale_active(raw))
+        for baseline in (None, mol.BaselineSpec(0.0)):
+            t = mol.head_terms(x, raw, 2, baseline=baseline)
+            assert np.array_equal(t.nll, nll)
+            assert np.array_equal(t.d_nll.logits, dl)
+            assert np.array_equal(t.d_nll.locs, dm)
+            assert np.array_equal(t.d_nll.log_scales, ds)
 
     def test_stationary_at_location_optimum(self):
         # for K=1 the NLL in mu is minimized at mu = x
-        raw = mol.RawMoLParams(np.zeros(1), np.array([0.7]), np.zeros(1))
-        _, grad = mol.grad_all(0.7, raw, 0.0)
-        assert abs(grad.locs[0]) < 1e-14
+        raw = mol.RawMoLParams(np.zeros((1, 1)), np.array([[0.7]]), np.zeros((1, 1)))
+        t = mol.head_terms(np.array([0.7]), raw, 1)
+        assert abs(t.d_nll.locs[0, 0]) < 1e-14

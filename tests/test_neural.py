@@ -84,10 +84,17 @@ class TestBlockDiagonal:
 
 class TestGRU:
     def test_zero_weights_fixed_point(self):
-        weights = {k: np.zeros((4, 4)) for k in ("Uz", "Rz", "Ur", "Rr", "Uh", "Rh")}
-        weights.update({k: np.zeros(4) for k in ("bz", "br", "bh")})
-        h = neural.gru_step(np.ones((2, 4)), np.zeros((2, 4)), weights)
+        cell = neural.GRUCell(4, 4, np.random.default_rng(0))
+        for p in cell.params.values():
+            p.value[...] = 0.0
+        h = cell.step(np.ones((2, 4)), np.zeros((2, 4)))
         assert np.all(h == 0.0)
+
+    def test_sixteen_blocks_hold_a_sixteenth_of_dense_gate_weights(self):
+        rng = np.random.default_rng(0)
+        dense = neural.GRUCell(64, 64, rng, blocks=1)
+        blocked = neural.GRUCell(64, 64, rng, blocks=16)
+        assert blocked.weight_parameter_count() == dense.weight_parameter_count() // 16
 
     def test_state_stays_in_unit_box(self):
         rng = np.random.default_rng(5)

@@ -1,4 +1,4 @@
-"""Voicing, noise mixing, manifest, system matrix and the training loop."""
+"""Voicing, noise mixing, manifest and the training loop."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,14 @@ from lvrc.audio import AudioBuffer, save_wav
 from lvrc.config import toy_config
 from lvrc.errors import ConfigError
 from lvrc.model import CodecModel
-from lvrc.neural import GRUCell
 from lvrc.trainer import (
-    ALL_SYSTEMS,
     LR_DECAY_STEPS,
     ClipDataset,
-    build_system_matrix,
     learning_rate,
     mix_noise,
+    noise_burst,
     parse_manifest,
+    synthetic_clip,
     train,
     voicing_score,
 )
@@ -127,37 +126,6 @@ class TestManifest:
             parse_manifest(manifest)
 
 
-class TestSystemMatrix:
-    def test_baseline_label(self):
-        assert build_system_matrix().label == "b"
-
-    def test_qv_label(self):
-        preset = build_system_matrix(var_reg=True, quantized=True, pruned=True)
-        assert preset.label == "qv"
-
-    def test_qvt_label(self):
-        preset = build_system_matrix(var_reg=True, denoised_input=True,
-                                     quantized=True, pruned=True)
-        assert preset.label == "qvt"
-
-    def test_table_has_eight_systems(self):
-        assert sorted(ALL_SYSTEMS) == sorted(["b", "v", "t", "vt", "q", "qv", "qt", "qvt"])
-
-    def test_pruned_preset_block_diagonal_count(self):
-        cfg = build_system_matrix(quantized=True, pruned=True).apply(toy_config())
-        assert cfg.model.gru_blocks == 16
-        assert cfg.train.pruning
-        rng = np.random.default_rng(0)
-        h = cfg.model.gru_state
-        dense = GRUCell(h, h, rng, blocks=1)
-        blocked = GRUCell(h, h, rng, blocks=16)
-        assert blocked.weight_parameter_count() == dense.weight_parameter_count() // 16
-
-    def test_var_reg_wires_nu(self):
-        assert build_system_matrix().apply(toy_config()).train.nu == 0.0
-        assert build_system_matrix(var_reg=True).apply(toy_config()).train.nu > 0.0
-
-
 def short_cfg(**overrides):
     cfg = toy_config()
     cfg.train.steps = 120
@@ -244,6 +212,16 @@ class TestDataset:
         v = dataset.voicing
         assert (v > 0.8).mean() > 0.2
         assert (v < 0.5).mean() > 0.05
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_noise_burst_has_requested_length(self, n):
+        x = noise_burst(np.random.default_rng(n), n)
+        assert x.shape == (n,) and np.all(np.isfinite(x))
+
+    def test_short_noise_segment_fits_its_clip(self):
+        # seed 182 draws a noise segment shorter than the smoothing kernel
+        clip = synthetic_clip(np.random.default_rng(182), 8000, 1280)
+        assert clip.shape == (1280,)
 
     def test_from_manifest(self, tmp_path):
         cfg = short_cfg(steps=2)
