@@ -70,6 +70,8 @@ def load_wav(path) -> AudioBuffer:
     if channels != 1:
         raise FormatError(f"{path}: only mono is supported, got {channels} channels")
 
+    if len(payload) % 2:
+        raise FormatError(f"{path}: data chunk of {len(payload)} bytes ends inside a sample")
     raw = np.frombuffer(payload, dtype="<i2")
     return AudioBuffer(raw.astype(np.float64) / _PCM_SCALE, sample_rate)
 

@@ -48,7 +48,11 @@ def pack_container(magic: bytes, digest: bytes, arrays: dict[str, np.ndarray]) -
 def unpack_container(
     blob: bytes, magic: bytes, expected_digest: bytes | None = None
 ) -> tuple[bytes, dict[str, np.ndarray]]:
-    """Return (digest, arrays). Raises DigestError on a config mismatch."""
+    """Return (digest, arrays). Raises DigestError on a config mismatch.
+
+    Any other malformed blob, including one with bytes after its last
+    entry, raises FormatError.
+    """
     if len(blob) < 17:
         raise FormatError("container truncated")
     if blob[:4] != magic:
@@ -80,8 +84,10 @@ def unpack_container(
                 blob[offset : offset + nbytes], dtype=dtype
             ).reshape(shape)
             offset += nbytes
-    except (struct.error, KeyError) as exc:
+    except (struct.error, KeyError, UnicodeDecodeError) as exc:
         raise FormatError("container corrupted") from exc
+    if offset != len(blob):
+        raise FormatError(f"{len(blob) - offset} bytes after the last entry")
     return digest, arrays
 
 

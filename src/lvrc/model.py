@@ -10,7 +10,9 @@ conditioning vector, the GRU advances, and a linear head emits N*(K*3)
 values: per band, K weight logits, K locations and K log scales of a
 mixture of logistics. Training is teacher forced; generation feeds the
 sampled band values back and recombines bands with the synthesis
-filterbank.
+filterbank. Since the GRU's input gates are linear in the input,
+generation computes the conditioning's share once per conditioning frame
+and adds only the previous samples' share at each step.
 """
 
 from __future__ import annotations
@@ -319,25 +321,31 @@ class CodecModel:
         """
         cfg = self.cfg
         steps = int(seconds * cfg.sample_rate) // cfg.n_bands
-        cond = self.conditioning(np.asarray(mels, dtype=self.dtype)[None])[0]
-        if cond.shape[0] < steps:
+        cond, _ = self.cond.forward(np.asarray(mels, dtype=self.dtype)[None])
+        tile = cfg.tile_factor
+        if cond.shape[1] * tile < steps:
             raise ConfigError(
-                f"conditioning covers {cond.shape[0]} steps, need {steps}"
+                f"conditioning covers {cond.shape[1] * tile} steps, need {steps}"
             )
+        # Everything but the previous samples' share of the input gates is
+        # known before the loop: the conditioning's gates once per frame,
+        # and in_proj folded into U so the samples add an (N, 3H) product.
+        gru = self.gru
+        cond_gates = gru.input_gates(cond[0] + self.in_proj_b.value)
+        fold = gru.input_gates(self.in_proj_w.value.T, bias=False)
+        weights = gru.step_weights()
+        out_w, out_b = self.out_w.value, self.out_b.value
         h = np.zeros((1, cfg.gru_state), self.dtype)
         prev = np.zeros(cfg.n_bands, self.dtype)
-        bands = np.empty((cfg.n_bands, steps), self.dtype)
-        k = cfg.n_mix
+        noise = mol.sample_noise(rng, steps, cfg.n_bands)
+        rows = np.empty((steps, cfg.n_bands), self.dtype)
         for t in range(steps):
-            x = dense_forward(prev[None], self.in_proj_w.value, self.in_proj_b.value) + cond[t]
-            h = self.gru.step(x, h)
-            flat = dense_forward(h, self.out_w.value, self.out_b.value)
-            raw = mol.RawMoLParams.from_flat(flat.reshape(cfg.n_bands, 3 * k), k)
-            params = mol.constrain(raw)
-            sample = np.clip(mol.sample(params, rng), -1.0, 1.0)
-            bands[:, t] = sample
+            h = gru.step((cond_gates[t // tile] + prev @ fold)[None], h, weights)
+            flat = dense_forward(h, out_w, out_b).reshape(cfg.n_bands, -1)
+            sample = np.minimum(np.maximum(mol.sample(flat, noise[t]), -1.0), 1.0)
+            rows[t] = sample
             prev = sample.astype(self.dtype)
-        waveform = self.filterbank.synthesize(bands)
+        waveform = self.filterbank.synthesize(rows.T)
         delay = self.filterbank.group_delay
         out = waveform[delay : delay + steps * cfg.n_bands]
         return AudioBuffer(out, cfg.sample_rate)

@@ -35,10 +35,6 @@ class MoLParams:
     scales: np.ndarray
 
     @property
-    def n_components(self) -> int:
-        return self.gammas.shape[-1]
-
-    @property
     def batch_shape(self) -> tuple:
         return self.gammas.shape[:-1]
 
@@ -121,36 +117,54 @@ def log_prob(x, p: MoLParams):
     return m + np.log(np.sum(np.exp(w - m[..., None]), axis=-1))
 
 
-def sample(p: MoLParams, rng: np.random.Generator):
-    """One draw per batch element.
+def sample_noise(rng: np.random.Generator, calls: int, batch: int) -> np.ndarray:
+    """The random input of `calls` calls of `sample` on `batch` mixtures, (calls, 2, batch).
 
-    Selects the component from the weights, then transforms a uniform:
-    x = mu_k + s_k * ln(u / (1 - u)), with u clipped to
-    [UNIFORM_EPS, 1 - UNIFORM_EPS]. Component uniforms are drawn before
-    logistic uniforms, one each per batch element.
+    Row [c, 0] holds call c's component uniforms and row [c, 1] its
+    standard logistic variates ln(u / (1 - u)), with u clipped to
+    [UNIFORM_EPS, 1 - UNIFORM_EPS]. The uniforms are drawn in that order,
+    call after call: the same stream as drawing each call's component
+    uniforms and then its logistic uniforms.
     """
-    batch = p.batch_shape
-    cum = np.cumsum(p.gammas, axis=-1)
-    u_comp = rng.random(batch)
-    k = np.minimum(
-        np.sum(u_comp[..., None] >= cum, axis=-1), p.n_components - 1
-    )
-    u = np.clip(rng.random(batch), UNIFORM_EPS, 1.0 - UNIFORM_EPS)
-    mu_k = np.take_along_axis(p.mus, k[..., None], axis=-1)[..., 0]
-    s_k = np.take_along_axis(p.scales, k[..., None], axis=-1)[..., 0]
-    return mu_k + s_k * (np.log(u) - np.log1p(-u))
+    noise = rng.random((calls, 2, batch))
+    u = np.clip(noise[:, 1], UNIFORM_EPS, 1.0 - UNIFORM_EPS)
+    noise[:, 1] = np.log(u) - np.log1p(-u)
+    return noise
+
+
+def sample(flat: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Draws from mixtures given as flat (..., 3K) output-layer rows.
+
+    Each row holds K weight logits, K locations and K log scales, as in
+    `RawMoLParams.from_flat`. `noise` is one call's (2, ...) slice of
+    `sample_noise`; there is one draw per column of it, and the rows
+    broadcast against the columns (one row serves them all). The component
+    k is the first whose cumulative softmax weight exceeds the uniform,
+    and the draw is mu_k + s_k * variate, with s_k = exp(log scale)
+    clamped to [S_MIN, S_MAX]. Draws equal those from the `constrain`ed
+    parameters; only the chosen component's scale is computed.
+    """
+    if not np.isfinite(flat).all():
+        raise NumericError("raw mixture parameters must be finite")
+    k = flat.shape[-1] // 3
+    rows = flat.reshape(-1, 3 * k)
+    logits = np.asarray(rows[:, :k], dtype=np.float64)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    cum = np.cumsum(e / e.sum(axis=1, keepdims=True), axis=1)
+    u_comp, variate = noise.reshape(2, -1)
+    # counting over the first K - 1 sums caps k at K - 1 if rounding leaves the total below u
+    pick = (u_comp[:, None] >= cum[:, :-1]).sum(axis=1)
+    at = np.arange(len(rows))
+    s_k = np.minimum(np.maximum(np.exp(rows[at, 2 * k + pick]), S_MIN), S_MAX)
+    return (rows[at, k + pick] + s_k * variate).reshape(noise.shape[1:])
 
 
 def sample_n(p: MoLParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n iid draws from a single (unbatched) mixture."""
+    """n iid draws from a single (unbatched) mixture with positive weights."""
     if p.batch_shape != ():
         raise ValueError("sample_n expects unbatched parameters")
-    tiled = MoLParams(
-        gammas=np.broadcast_to(p.gammas, (n, p.n_components)),
-        mus=np.broadcast_to(p.mus, (n, p.n_components)),
-        scales=np.broadcast_to(p.scales, (n, p.n_components)),
-    )
-    return sample(tiled, rng)
+    flat = np.concatenate([np.log(p.gammas), p.mus, np.log(p.scales)])
+    return sample(flat, sample_noise(rng, 1, n)[0])
 
 
 def mixture_mean(p: MoLParams):

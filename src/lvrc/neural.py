@@ -1,6 +1,7 @@
 """Minimal differentiable-layer toolkit on numpy arrays.
 
-Dense, block-diagonal dense, GRU cell (with fused sequence helpers),
+Dense, block-diagonal dense, GRU cell (fused sequence helpers for
+training, a fused single step for decoding),
 causal dilated / non-causal / transpose 1-D convolutions, Adam with
 pruning-mask enforcement, and the cubic magnitude-pruning schedule.
 Backward functions return exact analytic gradients; the finite-difference
@@ -132,7 +133,7 @@ def _sigmoid(x):
 
 
 class GRUCell:
-    """Standard GRU: z, r gates and candidate, h' = (1-z)*h + z*候补.
+    """Standard GRU: z, r gates and candidate, h' = (1-z)*h + z*cand.
 
     With blocks > 1 the six gate matrices are block-diagonal (the pruned
     deployment structure); blocks == 1 is the dense layout.
@@ -165,12 +166,54 @@ class GRUCell:
     def _w(self, tag):
         return self.params[tag].value
 
-    def step(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """One update for input x (B, D) and state h (B, H)."""
-        z = _sigmoid(_matmul(x, self._w("Uz")) + _matmul(h, self._w("Rz")) + self._w("bz"))
-        r = _sigmoid(_matmul(x, self._w("Ur")) + _matmul(h, self._w("Rr")) + self._w("br"))
-        cand = np.tanh(_matmul(x, self._w("Uh")) + _matmul(r * h, self._w("Rh")) + self._w("bh"))
-        return (1.0 - z) * h + z * cand
+    def input_gates(self, x: np.ndarray, bias: bool = True) -> np.ndarray:
+        """Input-side gate pre-activations U x (+ b) for x (..., D), laid out for `step`.
+
+        The last axis holds block after block the block's z, r and
+        candidate pre-activations (hb values each), 3H in all. The products
+        are linear in x, so a caller can split an input and add the parts'
+        gates, with the bias in one part only.
+        """
+        lead = x.shape[:-1]
+        blocks = self.blocks
+        xb = x.reshape(-1, blocks, x.shape[-1] // blocks).transpose(1, 0, 2)
+        y = xb @ self._stacked_t("Uz", "Ur", "Uh")  # (blocks, rows, 3hb)
+        if bias:
+            y += np.concatenate([self._w(f"b{g}").reshape(blocks, 1, -1) for g in "zrh"], axis=2)
+        return y.transpose(1, 0, 2).reshape(*lead, 3 * self.hidden)
+
+    def step_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The recurrent matrices as `step` reads them, built once per decode.
+
+        [Rz; Rr] stacked as (blocks, hb, 2hb) and Rh as (blocks, hb, hb),
+        each pre-transposed for right-multiplication by the state; dense
+        is blocks = 1. The arrays are copies, so rebuild them after a
+        weight update.
+        """
+        return self._stacked_t("Rz", "Rr"), self._stacked_t("Rh")
+
+    def step(self, gates: np.ndarray, h: np.ndarray, weights) -> np.ndarray:
+        """One update of state h (B, H) from input-gate pre-activations (B, 3H).
+
+        `gates` is laid out as `input_gates` returns it and `weights` is
+        `step_weights()`. Per step this does one matmul over [Rz; Rr],
+        one sigmoid over both gates and one matmul over Rh.
+        """
+        rzr, rh = weights
+        blocks, hb, _ = rh.shape
+        batch = h.shape[0]
+        g = gates.reshape(batch, blocks, 1, 3 * hb)
+        h4 = h.reshape(batch, blocks, 1, hb)
+        zr = _sigmoid(g[..., : 2 * hb] + h4 @ rzr)
+        z, r = zr[..., :hb], zr[..., hb:]
+        cand = np.tanh(g[..., 2 * hb :] + (r * h4) @ rh)
+        return ((1.0 - z) * h4 + z * cand).reshape(batch, self.hidden)
+
+    def _stacked_t(self, *tags):
+        """Gate matrices as one contiguous (blocks, in_b, sum of out_b) array for
+        right-multiplication, side by side per block; dense is one block."""
+        wts = (self._transposed_gate(tag) for tag in tags)
+        return np.concatenate([wt if wt.ndim == 3 else wt[None] for wt in wts], axis=2)
 
     def _transposed_gate(self, tag):
         """Gate matrix prepared for right-multiplication by the state."""
@@ -204,12 +247,11 @@ class GRUCell:
         cands = np.empty_like(hs)
         h = h0
         hidden = self.hidden
-        rz_t, rr_t, rh_t = (self._transposed_gate(t) for t in ("Rz", "Rr", "Rh"))
-        if rz_t.ndim == 2:
-            rzr_t = np.concatenate([rz_t, rr_t], axis=1)  # (H, 2H)
-        else:
-            rzr_t = np.concatenate([rz_t, rr_t], axis=2)  # (nb, hb, 2hb)
-        blocked = rzr_t.ndim == 3
+        rh_t = self._transposed_gate("Rh")
+        rzr_t = self._stacked_t("Rz", "Rr")  # (nb, hb, 2hb)
+        blocked = rh_t.ndim == 3
+        if not blocked:
+            rzr_t = rzr_t[0]  # (H, 2H)
         for t in range(steps):
             a = self._apply_t(h, rzr_t)
             if blocked:  # per-block layout interleaves the z and r halves
@@ -284,9 +326,6 @@ class GRUCell:
             self.params[f"R{tag}"].grad += _matmul_weight_grad(inp, self._w(f"R{tag}"), da)
             self.params[f"b{tag}"].grad += db
         return dxs, dh
-
-    def parameter_count(self) -> int:
-        return sum(p.value.size for p in self.params.values())
 
     def weight_parameter_count(self) -> int:
         """Gate matrix entries only (biases excluded)."""

@@ -129,3 +129,22 @@ def numeric_grad(f, arr: np.ndarray, h: float = 1e-5) -> np.ndarray:
         arr[i] = orig
         grad[i] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def reference_sample(p, rng) -> np.ndarray:
+    """A draw from constrained mixture parameters `p`, written out step by step.
+
+    The oracle for `mol.sample`, which draws from the unconstrained flat
+    output: component uniforms first (one per batch element, compared
+    against the cumulative weights), then clipped logistic uniforms.
+    """
+    from lvrc import mol
+
+    batch = p.gammas.shape[:-1]
+    cum = np.cumsum(p.gammas, axis=-1)
+    u_comp = rng.random(batch)
+    k = np.minimum(np.sum(u_comp[..., None] >= cum, axis=-1), p.gammas.shape[-1] - 1)
+    u = np.clip(rng.random(batch), mol.UNIFORM_EPS, 1.0 - mol.UNIFORM_EPS)
+    mu_k = np.take_along_axis(p.mus, k[..., None], axis=-1)[..., 0]
+    s_k = np.take_along_axis(p.scales, k[..., None], axis=-1)[..., 0]
+    return mu_k + s_k * (np.log(u) - np.log1p(-u))

@@ -86,3 +86,13 @@ def test_save_load_twice_bit_exact(tmp_path):
     save_wav(p1, buf)
     save_wav(p2, load_wav(p1))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_odd_length_data_chunk_rejected(tmp_path):
+    path = tmp_path / "odd.wav"
+    payload = struct.pack("<4sI4s", b"RIFF", 36 + 3, b"WAVE")
+    fmt = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16)
+    data = b"data" + struct.pack("<I", 3) + b"\x00" * 3 + b"\x00"  # pad byte
+    path.write_bytes(payload + fmt + data)
+    with pytest.raises(FormatError):
+        load_wav(path)

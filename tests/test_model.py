@@ -7,8 +7,9 @@ from lvrc import mol
 from lvrc.config import ModelConfig
 from lvrc.errors import ConfigError
 from lvrc.model import CodecModel
+from lvrc.neural import GRUCell, dense_forward
 
-from conftest import fd_rel_error
+from conftest import fd_rel_error, reference_sample
 
 TINY = dict(n_bands=4, n_mix=2, gru_state=8, cond_channels=6, n_mels=5,
             frame_rate=25, sample_rate=800, fb_taps=16)
@@ -177,7 +178,55 @@ class TestNllEval:
         assert res["nll"] < -5.0  # nats per band sample: density well above 1 at the mode
 
 
+def reference_generate(model, mels, rng, seconds):
+    """`generate` composed from the layers one call each: in_proj, a one-step
+    GRU sequence, constrain, a draw from the constrained mixture, clamp."""
+    cfg = model.cfg
+    steps = int(seconds * cfg.sample_rate) // cfg.n_bands
+    cond = model.conditioning(np.asarray(mels)[None])[0]
+    h = np.zeros((1, cfg.gru_state))
+    bands = np.zeros((cfg.n_bands, steps + 1))  # column t holds the samples fed to step t
+    for t in range(steps):
+        x = dense_forward(bands[None, :, t], model.in_proj_w.value, model.in_proj_b.value)
+        hs, _ = model.gru.forward_sequence((x + cond[t])[:, None], h)
+        h = hs[:, 0]
+        flat = dense_forward(h, model.out_w.value, model.out_b.value)
+        raw = mol.RawMoLParams.from_flat(flat.reshape(cfg.n_bands, -1), cfg.n_mix)
+        bands[:, t + 1] = np.clip(reference_sample(mol.constrain(raw), rng), -1.0, 1.0)
+    waveform = model.filterbank.synthesize(bands[:, 1:])
+    delay = model.filterbank.group_delay
+    return waveform[delay : delay + steps * cfg.n_bands]
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("blocks", [1, 4])
+    def test_matches_layer_by_layer_reference(self, blocks):
+        model = tiny_model(seed=15, gru_blocks=blocks)
+        rng = np.random.default_rng(16)
+        for p in (model.in_proj_b, *(model.gru.params[f"b{g}"] for g in "zrh")):
+            p.value[...] = rng.normal(0.0, 0.5, p.value.shape)  # biases start at zero
+        mels = rng.uniform(-12, 0, (8, 5))
+        fast = model.generate(mels, np.random.default_rng(17), seconds=0.25).samples
+        slow = reference_generate(model, mels, np.random.default_rng(17), seconds=0.25)
+        assert len(fast) == len(slow) == 200
+        assert np.max(np.abs(fast - slow)) <= 1e-12
+
+    def test_one_gru_step_and_one_draw_per_decode_step(self, monkeypatch):
+        counts = {"step": 0, "sample": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(GRUCell, "step", counted("step", GRUCell.step))
+        monkeypatch.setattr(mol, "sample", counted("sample", mol.sample))
+        model = tiny_model(seed=18)
+        model.generate(np.zeros((8, 5)), np.random.default_rng(0), seconds=0.25)
+        steps = int(0.25 * model.cfg.sample_rate) // model.cfg.n_bands
+        assert counts == {"step": steps, "sample": steps}
+
     def test_fixed_seed_reproducible(self):
         model = tiny_model(seed=9)
         mels = np.random.default_rng(1).uniform(-12, 0, (6, 5))

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from lvrc import mol
 from lvrc.errors import NumericError
 
-from conftest import fd_rel_error
+from conftest import fd_rel_error, reference_sample
 
 PI2_3 = np.pi**2 / 3.0
 
@@ -87,9 +87,25 @@ class TestLogProb:
 
 class TestSample:
     def test_half_uniform_returns_location(self):
-        p = mol.MoLParams(np.ones(1), np.array([0.42]), np.ones(1))
-        x = mol.sample(p, FixedUniformRng(0.5))
+        # one component: weight logit 0, location 0.42, log scale 0
+        x = mol.sample(np.array([0.0, 0.42, 0.0]), mol.sample_noise(FixedUniformRng(0.5), 1, 1)[0])
         assert x == pytest.approx(0.42, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_flat_draws_equal_constrained_draws(self, k):
+        rng = np.random.default_rng(30 + k)
+        flat = np.concatenate([rng.normal(0, 2, (6, k)), rng.normal(0, 1, (6, k)),
+                               rng.uniform(-12.0, 4.0, (6, k))], axis=-1)
+        expected = reference_sample(mol.constrain(mol.RawMoLParams.from_flat(flat, k)),
+                                    np.random.default_rng(5))
+        noise = mol.sample_noise(np.random.default_rng(5), 1, 6)[0]
+        assert np.array_equal(mol.sample(flat, noise), expected)
+
+    def test_non_finite_rejected(self):
+        flat = np.zeros((2, 6))
+        flat[1, 4] = np.inf
+        with pytest.raises(NumericError):
+            mol.sample(flat, np.zeros((2, 2)))
 
     def test_degenerate_scale_returns_location(self):
         p = mol.MoLParams(np.ones(1), np.array([0.3]), np.array([mol.S_MIN]))
@@ -107,6 +123,17 @@ class TestSample:
         a = mol.sample_n(p, np.random.default_rng(123), 64)
         b = mol.sample_n(p, np.random.default_rng(123), 64)
         assert np.array_equal(a, b)
+
+
+    def test_noise_is_the_call_by_call_stream(self):
+        # drawing every call's uniforms up front changes no draw
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        noise = mol.sample_noise(a, 3, 4)
+        for c in range(3):
+            assert np.array_equal(noise[c, 0], b.random(4))
+            u = np.clip(b.random(4), mol.UNIFORM_EPS, 1.0 - mol.UNIFORM_EPS)
+            assert np.array_equal(noise[c, 1], np.log(u) - np.log1p(-u))
+        assert a.random() == b.random()
 
 
 class TestMoments:

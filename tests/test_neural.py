@@ -87,7 +87,7 @@ class TestGRU:
         cell = neural.GRUCell(4, 4, np.random.default_rng(0))
         for p in cell.params.values():
             p.value[...] = 0.0
-        h = cell.step(np.ones((2, 4)), np.zeros((2, 4)))
+        h = cell.step(cell.input_gates(np.ones((2, 4))), np.zeros((2, 4)), cell.step_weights())
         assert np.all(h == 0.0)
 
     def test_sixteen_blocks_hold_a_sixteenth_of_dense_gate_weights(self):
@@ -100,8 +100,9 @@ class TestGRU:
         rng = np.random.default_rng(5)
         cell = neural.GRUCell(4, 4, rng)
         h = rng.uniform(-0.99, 0.99, (8, 4))
+        weights = cell.step_weights()
         for _ in range(50):
-            h = cell.step(rng.normal(0, 3, (8, 4)), h)
+            h = cell.step(cell.input_gates(rng.normal(0, 3, (8, 4))), h, weights)
             assert np.all(np.abs(h) < 1.0)
 
     @pytest.mark.parametrize("blocks", [1, 2])
@@ -125,15 +126,27 @@ class TestGRU:
             for p in cell.params.values():
                 assert fd_rel_error(p.grad, numeric_grad(f, p.value)) <= TOL
 
-    def test_step_matches_sequence(self):
+    @pytest.mark.parametrize("blocks", [1, 4])
+    def test_step_matches_sequence(self, blocks):
         rng = np.random.default_rng(7)
-        cell = neural.GRUCell(6, 6, rng)
-        xs, h0 = rand(rng, 3, 9, 6), rand(rng, 3, 6)
+        cell = neural.GRUCell(8, 8, rng, blocks=blocks)
+        xs, h0 = rand(rng, 3, 9, 8), rand(rng, 3, 8)
         hs, _ = cell.forward_sequence(xs, h0)
-        h = h0
+        h, weights = h0, cell.step_weights()
         for t in range(9):
-            h = cell.step(xs[:, t], h)
+            h = cell.step(cell.input_gates(xs[:, t]), h, weights)
         assert np.allclose(h, hs[:, -1], atol=1e-14)
+
+    def test_input_gates_split_over_summands(self):
+        # the decoder adds the gates of the conditioning and of the previous
+        # samples separately; U is linear, so only the bias must come once
+        rng = np.random.default_rng(14)
+        cell = neural.GRUCell(8, 8, rng, blocks=4)
+        for p in cell.params.values():
+            p.value[...] = rand(rng, *p.value.shape)
+        a, b = rand(rng, 5, 8), rand(rng, 5, 8)
+        split = cell.input_gates(a) + cell.input_gates(b, bias=False)
+        assert np.allclose(split, cell.input_gates(a + b), atol=1e-13)
 
     def test_block_gates_use_sixteenth_of_dense(self):
         rng = np.random.default_rng(8)
