@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .container import write_file_atomic
 from .errors import FormatError
 
 _PCM_SCALE = 32768.0
@@ -38,7 +39,8 @@ def load_wav(path) -> AudioBuffer:
     """Read a RIFF/WAVE file holding 16-bit PCM mono samples.
 
     Samples are scaled by 1/32768 into [-1, 1). Raises FormatError for
-    other encodings or channel counts, OSError for truncated files.
+    other encodings or channel counts and for a truncated or missing fmt
+    or data chunk; OSError only when the file cannot be read.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -54,16 +56,16 @@ def load_wav(path) -> AudioBuffer:
         body = data[offset + 8 : offset + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
-                raise OSError(f"{path}: truncated fmt chunk")
+                raise FormatError(f"{path}: truncated fmt chunk")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             if len(body) < chunk_size:
-                raise OSError(f"{path}: truncated data chunk")
+                raise FormatError(f"{path}: truncated data chunk")
             payload = body
         offset += 8 + chunk_size + (chunk_size & 1)
 
     if fmt is None or payload is None:
-        raise OSError(f"{path}: missing fmt or data chunk")
+        raise FormatError(f"{path}: missing fmt or data chunk")
     audio_format, channels, sample_rate, _, _, bits = fmt
     if audio_format != 1 or bits != 16:
         raise FormatError(f"{path}: only 16-bit PCM is supported")
@@ -77,7 +79,10 @@ def load_wav(path) -> AudioBuffer:
 
 
 def save_wav(path, audio: AudioBuffer) -> None:
-    """Write 16-bit PCM mono, little-endian. Samples outside [-1, 1] are clamped."""
+    """Write 16-bit PCM mono, little-endian. Samples outside [-1, 1] are clamped.
+
+    The file is replaced atomically: a failed save leaves the old one intact.
+    """
     clamped = np.clip(audio.samples, -1.0, 1.0)
     quantized = np.clip(np.round(clamped * _PCM_SCALE), -32768, 32767).astype("<i2")
     payload = quantized.tobytes()
@@ -92,5 +97,4 @@ def save_wav(path, audio: AudioBuffer) -> None:
             struct.pack("<I", len(payload)),
         ]
     )
-    with open(path, "wb") as fh:
-        fh.write(header + payload)
+    write_file_atomic(path, header + payload)

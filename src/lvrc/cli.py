@@ -17,8 +17,10 @@ import numpy as np
 from . import quantizer as q
 from .audio import AudioBuffer, load_wav, save_wav
 from .config import load_config
+from .container import write_file_atomic
 from .errors import CodecError, ConfigError, FormatError, NumericError
 from .features import log_mel_features
+from .filterbank import snr_db
 from .model import CodecModel
 from .trainer import ClipDataset, parse_manifest, train, voicing_per_frame
 
@@ -76,8 +78,7 @@ def cmd_encode(args) -> int:
         )
     frames = log_mel_features(audio, cfg.features)
     blob = q.encode(frames, model)
-    with open(args.output, "wb") as fh:
-        fh.write(blob)
+    write_file_atomic(args.output, blob)
     n_super = len(q.stack_supervectors(frames, model.stack))
     bits = q.payload_bits(n_super, model)
     duration = max(audio.duration, 1e-12)
@@ -171,8 +172,6 @@ def cmd_eval(args) -> int:
             if qmodel is not None:
                 decoded = q.decode(q.encode(frames, qmodel), qmodel)
                 lsd = q.log_spectral_distortion_db(frames, decoded)
-            from .filterbank import snr_db
-
             rebuilt = model.filterbank.round_trip(audio.samples)
             snr = snr_db(audio.samples, rebuilt)
             writer.writerow([

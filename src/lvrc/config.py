@@ -306,7 +306,7 @@ def paper_config() -> CodecConfig:
 def toy_config() -> CodecConfig:
     """Desk-scale configuration that trains in minutes on a CPU."""
     cfg = CodecConfig(
-        # mels concentrated below 2 kHz so the toy pitch classes are
+        # mels concentrated below 2 kHz so the toy tone's harmonics are
         # several bins apart and survive quantization
         features=FeatureConfig(sample_rate=8000, n_mels=32, mel_fmax=2000.0),
         model=ModelConfig(

@@ -10,11 +10,13 @@ Layout (all integers little-endian):
               ndim x u32 dims, raw array bytes (little-endian, C order)
 
 Writing the same arrays twice produces byte-identical files, which the
-artifact determinism contracts rely on.
+artifact determinism contracts rely on. Files are replaced atomically, so
+a crash or a failed write never leaves a torn artifact behind.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -91,9 +93,36 @@ def unpack_container(
     return digest, arrays
 
 
+def write_file_atomic(path, data: bytes) -> None:
+    """Replace the file at path with data, all or nothing.
+
+    The bytes go to a temp file in the same directory, are flushed to disk
+    and renamed over path, so a reader or a later resume sees the old file
+    or the new one, never a torn one. On failure the temp file is removed.
+    An existing device or pipe (say /dev/null or /dev/stdout) cannot be
+    renamed over and is written in place; a symlink is followed, so its
+    target is the file replaced.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_container(path, magic: bytes, digest: bytes, arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(pack_container(magic, digest, arrays))
+    write_file_atomic(path, pack_container(magic, digest, arrays))
 
 
 def read_container(path, magic: bytes, expected_digest: bytes | None = None):

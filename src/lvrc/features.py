@@ -12,7 +12,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal.windows import hann
 
 from .audio import AudioBuffer
 from .config import FeatureConfig
@@ -78,7 +77,12 @@ def frame_signal(samples: np.ndarray, window: int, hop: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _analysis_window(length: int) -> np.ndarray:
-    win = hann(length, sym=False)
+    """Periodic Hann window: scipy.signal.windows.hann(length, sym=False), bit for bit.
+
+    scipy's general_cosine written out; np.hanning differs in the last bit.
+    (scipy returns [1.0] for length 1, a window no frame can use.)
+    """
+    win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, length + 1))[:-1]
     win.setflags(write=False)
     return win
 

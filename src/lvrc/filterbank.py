@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.signal.windows import kaiser
+from scipy.special import i0
 
 from .errors import ConfigError
 
@@ -48,20 +47,86 @@ class FilterbankSpec:
         return float(np.sqrt(self.n_bands))
 
 
-def _windowed_sinc(taps: int, ratio: float, beta: float) -> np.ndarray:
-    n = np.arange(taps) - (taps - 1) / 2.0
-    return ratio * np.sinc(ratio * n) * kaiser(taps, beta)
+def _kaiser(taps: int, beta: float) -> np.ndarray:
+    """Symmetric Kaiser window: scipy.signal.windows.kaiser(taps, beta), bit for bit."""
+    alpha = (taps - 1) / 2.0
+    n = np.arange(taps, dtype=np.float64)
+    return i0(beta * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / i0(beta)
 
 
-def _power_flatness(ratio: float, taps: int, n_bands: int, beta: float) -> float:
-    """Ripple of |P(w)|^2 + |P(pi/N - w)|^2 over the crossover region."""
-    p = _windowed_sinc(taps, ratio, beta)
-    w = np.linspace(0.0, np.pi / n_bands, 257)
-    n = np.arange(taps)
-    mag_lo = np.abs(np.exp(-1j * np.outer(w, n)) @ p)
-    mag_hi = np.abs(np.exp(-1j * np.outer(np.pi / n_bands - w, n)) @ p)
-    d = mag_lo**2 + mag_hi**2
-    return (d.max() - d.min()) / d.mean()
+def _windowed_sinc(ratio: float, window: np.ndarray) -> np.ndarray:
+    n = np.arange(len(window)) - (len(window) - 1) / 2.0
+    return ratio * np.sinc(ratio * n) * window
+
+
+def _minimize_bounded(func, lo: float, hi: float, xatol: float, maxiter: int) -> float:
+    """Bounded Brent minimization of a scalar function on [lo, hi].
+
+    A port of scipy.optimize.minimize_scalar(method="bounded"): the same
+    steps in the same order, so it returns the same x bit for bit.
+    """
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + (xm - xf == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf
 
 
 def design_prototype(spec: FilterbankSpec) -> np.ndarray:
@@ -78,19 +143,30 @@ def design_prototype(spec: FilterbankSpec) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _unscaled_prototype(taps: int, n_bands: int, beta: float) -> np.ndarray:
-    """design_prototype's optimizer run, done once per distinct setting."""
+    """design_prototype's optimizer run, done once per distinct setting.
+
+    The ratio minimizes the ripple of |P(w)|^2 + |P(pi/N - w)|^2 over the
+    crossover region: a coarse grid, then bounded Brent between the grid
+    neighbours of the best point. The DFT rows at w and at pi/N - w do not
+    depend on the ratio, so they are built once.
+    """
+    window = _kaiser(taps, beta)
+    n = np.arange(taps)
+    w = np.linspace(0.0, np.pi / n_bands, 257)
+    dft_lo = np.exp(-1j * np.outer(w, n))
+    dft_hi = np.exp(-1j * np.outer(np.pi / n_bands - w, n))
+
+    def ripple(ratio: float) -> float:
+        p = _windowed_sinc(ratio, window)
+        d = np.abs(dft_lo @ p) ** 2 + np.abs(dft_hi @ p) ** 2
+        return (d.max() - d.min()) / d.mean()
+
     base = 1.0 / (2 * n_bands)
     grid = np.linspace(base * 1.0001, base * 1.35, 64)
-    ripple = [_power_flatness(r, taps, n_bands, beta) for r in grid]
-    i = int(np.argmin(ripple))
-    result = minimize_scalar(
-        _power_flatness,
-        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
-        args=(taps, n_bands, beta),
-        method="bounded",
-        options={"xatol": 1e-9},
-    )
-    proto = _windowed_sinc(taps, result.x, beta)
+    i = int(np.argmin([ripple(r) for r in grid]))
+    ratio = _minimize_bounded(ripple, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
+                              xatol=1e-9, maxiter=500)
+    proto = _windowed_sinc(ratio, window)
     proto.setflags(write=False)
     return proto
 

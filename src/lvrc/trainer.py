@@ -108,9 +108,9 @@ def harmonic_tone(rng: np.random.Generator, sample_rate: int, n_samples: int,
                   harmonic_rolloff: float = 4.0) -> np.ndarray:
     """Harmonic tone with optional 5 Hz vibrato; amplitude ~ 1/h**rolloff.
 
-    Without an explicit f0, the pitch is drawn from the small canonical
-    set TONE_PITCHES (with ~1% jitter), so the toy task has identifiable
-    pitch classes spaced well beyond the tracking tolerance.
+    Without an explicit f0, the pitch is drawn from TONE_PITCHES, which
+    holds one pitch (220 Hz), with ~1% jitter, so every toy tone has the
+    same identifiable pitch class.
     """
     if f0 is None:
         f0 = float(rng.choice(TONE_PITCHES) * (1.0 + rng.uniform(-0.01, 0.01)))

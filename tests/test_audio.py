@@ -51,8 +51,29 @@ def test_truncated_rejected(tmp_path):
     save_wav(path, AudioBuffer(np.zeros(100), 8000))
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 50])
-    with pytest.raises(OSError):
+    with pytest.raises(FormatError, match="truncated data chunk"):
         load_wav(path)
+
+
+def test_truncated_fmt_chunk_rejected(tmp_path):
+    path = tmp_path / "trunc_fmt.wav"
+    save_wav(path, AudioBuffer(np.zeros(100), 8000))
+    path.write_bytes(path.read_bytes()[:30])  # 10 of the 16 fmt bytes
+    with pytest.raises(FormatError, match="truncated fmt chunk"):
+        load_wav(path)
+
+
+def test_missing_chunk_rejected(tmp_path):
+    path = tmp_path / "no_data.wav"
+    save_wav(path, AudioBuffer(np.zeros(100), 8000))
+    path.write_bytes(path.read_bytes()[:36])  # header and fmt chunk only
+    with pytest.raises(FormatError, match="missing fmt or data chunk"):
+        load_wav(path)
+
+
+def test_missing_file_is_os_error(tmp_path):
+    with pytest.raises(OSError):
+        load_wav(tmp_path / "absent.wav")
 
 
 def test_roundtrip_quantization_bound(tmp_path):

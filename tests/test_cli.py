@@ -1,10 +1,14 @@
 """End-to-end command-line behavior: artifacts, bitstreams, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lvrc
 from lvrc import cli
 from lvrc.audio import AudioBuffer, load_wav, save_wav
 from lvrc.config import paper_config, toy_config
@@ -107,6 +111,15 @@ class TestEncode:
         rc = cli.main([
             "encode", "--config", str(env["cfg_path"]), "--quantizer", str(bad),
             str(env["wav"]), str(env["root"] / "x.lvrc"),
+        ])
+        assert rc == 3
+
+    def test_truncated_wav_exits_3(self, env):
+        bad = env["root"] / "trunc.wav"
+        bad.write_bytes(env["wav"].read_bytes()[:-50])
+        rc = cli.main([
+            "encode", "--config", str(env["cfg_path"]), "--quantizer", str(env["quant"]),
+            str(bad), str(env["root"] / "trunc_wav.lvrc"),
         ])
         assert rc == 3
 
@@ -234,3 +247,20 @@ class TestUsage:
             str(env["wav"]), "/tmp/x.lvrc",
         ])
         assert rc == 2
+
+
+def test_cold_start_imports_no_heavy_scipy_module():
+    """The CLI and a model build load scipy.special only: each heavy module costs ~1 s."""
+    code = (
+        "import sys, lvrc.cli\n"
+        "from lvrc.config import toy_config\n"
+        "from lvrc.model import CodecModel\n"
+        "CodecModel(toy_config().model)\n"
+        "heavy = ('scipy.signal', 'scipy.optimize', 'scipy.stats', 'scipy.interpolate')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(lvrc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.signal.windows import hann
 
 from lvrc.audio import AudioBuffer
-from lvrc.config import FeatureConfig
+from lvrc.config import FeatureConfig, paper_config, toy_config
 from lvrc.errors import ConfigError
 from lvrc.features import (
+    _analysis_window,
     filter_center_frequencies,
     frame_signal,
     log_mel_features,
@@ -91,3 +93,9 @@ def test_frames_centered_on_hop_grid():
     frames = frame_signal(x, window, hop)
     # frame t covers samples centered at t*hop
     assert frames[2, window // 2] == 2 * hop
+
+
+@pytest.mark.parametrize("length", [toy_config().features.window_length,
+                                    paper_config().features.window_length, 2, 401])
+def test_analysis_window_is_scipy_periodic_hann(length):
+    assert np.array_equal(_analysis_window(length), hann(length, sym=False))

@@ -1,10 +1,23 @@
-"""Pseudo-QMF filterbank: prototype quality and round-trip fidelity."""
+"""Pseudo-QMF filterbank: prototype quality, round-trip fidelity, and the
+prototype search against the scipy functions it ports."""
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
+from scipy.signal.windows import kaiser
 
+from lvrc.config import paper_config, toy_config
 from lvrc.errors import ConfigError
-from lvrc.filterbank import Filterbank, FilterbankSpec, design_prototype, snr_db
+from lvrc.filterbank import (
+    KAISER_BETA,
+    Filterbank,
+    FilterbankSpec,
+    _kaiser,
+    _minimize_bounded,
+    _unscaled_prototype,
+    design_prototype,
+    snr_db,
+)
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +47,64 @@ class TestPrototype:
     def test_tap_count_validation(self):
         with pytest.raises(ConfigError):
             FilterbankSpec(n_bands=4, prototype_taps=30).validate()
+
+
+def _reference_prototype(taps, n_bands, beta):
+    """The prototype search on scipy: windows.kaiser and minimize_scalar(bounded)."""
+    n = np.arange(taps)
+    win = kaiser(taps, beta)
+
+    def windowed_sinc(ratio):
+        return ratio * np.sinc(ratio * (n - (taps - 1) / 2.0)) * win
+
+    def flatness(ratio):
+        p = windowed_sinc(ratio)
+        w = np.linspace(0.0, np.pi / n_bands, 257)
+        mag_lo = np.abs(np.exp(-1j * np.outer(w, n)) @ p)
+        mag_hi = np.abs(np.exp(-1j * np.outer(np.pi / n_bands - w, n)) @ p)
+        d = mag_lo**2 + mag_hi**2
+        return (d.max() - d.min()) / d.mean()
+
+    base = 1.0 / (2 * n_bands)
+    grid = np.linspace(base * 1.0001, base * 1.35, 64)
+    i = int(np.argmin([flatness(r) for r in grid]))
+    result = minimize_scalar(flatness, bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
+                             method="bounded", options={"xatol": 1e-9})
+    return windowed_sinc(result.x)
+
+
+# Objectives that reach the branches of bounded Brent: smooth and kinked
+# minima, plateaus and steps that tie, ripples with many local minima.
+BRENT_OBJECTIVES = {
+    "quadratic": (lambda x: (x - 0.3) ** 2, (-1.0, 2.0)),
+    "kink": (lambda x: abs(x - 1.234567), (0.0, 3.0)),
+    "plateau": (lambda x: max(abs(x) - 0.5, 0.0), (-2.0, 1.0)),
+    "staircase": (lambda x: float(np.floor(8.0 * abs(x - 0.1))), (-1.0, 1.0)),
+    "ripple": (lambda x: np.sin(40.0 * x) + 0.1 * x * x, (-3.0, 3.0)),
+    "quartic": (lambda x: (x - 2.0) ** 4, (0.0, 5.0)),
+}
+
+PRESET_BANKS = [(c.model.fb_taps, c.model.n_bands, KAISER_BETA) for c in (toy_config(), paper_config())]
+
+
+class TestScipyPorts:
+    """The numpy/scipy.special ports return scipy.signal's and scipy.optimize's bits."""
+
+    @pytest.mark.parametrize("taps,beta", [(96, 9.0), (192, 9.0), (64, 8.0), (97, 5.5)])
+    def test_kaiser_window(self, taps, beta):
+        assert np.array_equal(_kaiser(taps, beta), kaiser(taps, beta))
+
+    @pytest.mark.parametrize("name", sorted(BRENT_OBJECTIVES))
+    @pytest.mark.parametrize("maxiter", [500, 7])
+    def test_bounded_brent(self, name, maxiter):
+        func, bounds = BRENT_OBJECTIVES[name]
+        expected = minimize_scalar(func, bounds=bounds, method="bounded",
+                                   options={"xatol": 1e-9, "maxiter": maxiter}).x
+        assert _minimize_bounded(func, *bounds, xatol=1e-9, maxiter=maxiter) == expected
+
+    @pytest.mark.parametrize("setting", PRESET_BANKS + [(64, 2, 8.0), (96, 8, 9.0), (128, 4, 8.0)])
+    def test_prototype_search(self, setting):
+        assert np.array_equal(_unscaled_prototype(*setting), _reference_prototype(*setting))
 
 
 class TestRoundTrip:
