@@ -76,7 +76,7 @@ class ModelConfig:
     n_mels: int = 160
     frame_rate: int = 50
     sample_rate: int = 16000
-    gru_blocks: int = 1  # >1 switches the three gate matrices to block-diagonal
+    gru_blocks: int = 1  # >1 switches the six gate matrices to block-diagonal
     fb_taps: int = 192
     # Fixed affine normalization applied to log mels before the input layer.
     mel_offset: float = 11.5
@@ -96,7 +96,9 @@ class ModelConfig:
             raise ConfigError("sample_rate must be divisible by n_bands")
         if self.band_rate % (self.frame_rate * 8) != 0:
             raise ConfigError("band rate must be an integer multiple of 8x frame_rate")
-        if self.gru_blocks > 1 and self.gru_state % self.gru_blocks != 0:
+        if self.gru_blocks < 1:
+            raise ConfigError("gru_blocks must be >= 1")
+        if self.gru_state % self.gru_blocks != 0:
             raise ConfigError("gru_state must be divisible by gru_blocks")
         if self.n_mix < 1:
             raise ConfigError("n_mix must be >= 1")

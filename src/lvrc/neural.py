@@ -1,13 +1,13 @@
 """Minimal differentiable-layer toolkit on numpy arrays.
 
-Dense, block-diagonal dense, GRU cell (fused sequence helpers for
-training, a fused single step for decoding),
-causal dilated / non-causal / transpose 1-D convolutions, Adam with
-pruning-mask enforcement, and the cubic magnitude-pruning schedule.
-Backward functions return exact analytic gradients; the finite-difference
-test suite is the correctness contract. Sequence arrays are (batch, time,
-channels); weight matrices are (out, in); convolution kernels are
-(kernel, out, in).
+One dense kernel whose weight is (out, in) or block-diagonal (blocks,
+out_b, in_b), dense being one block on the same code; a GRU cell whose
+training sequence and decode step run one update; causal dilated /
+non-causal / transpose 1-D convolutions, Adam with pruning-mask
+enforcement, and the cubic magnitude-pruning schedule. Backward
+functions return exact analytic gradients; the finite-difference test
+suite is the correctness contract. Sequence arrays are (batch, time,
+channels); convolution kernels are (kernel, out, in).
 """
 
 from __future__ import annotations
@@ -53,69 +53,52 @@ def init_weight(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtyp
 
 
 # ---------------------------------------------------------------------------
-# dense and block-diagonal dense
+# dense and block-diagonal dense: one kernel, dense is one block
 # ---------------------------------------------------------------------------
 
+def _blocks(w: np.ndarray) -> np.ndarray:
+    """w as (blocks, out_b, in_b); a dense (out, in) matrix is one block."""
+    return w if w.ndim == 3 else w[None]
+
+def _split(x: np.ndarray, blocks: int) -> np.ndarray:
+    """(..., blocks*n) -> (blocks, rows, n), rows in x's own order."""
+    return x.reshape(-1, blocks, x.shape[-1] // blocks).transpose(1, 0, 2)
+
+def _merge(y: np.ndarray, lead: tuple) -> np.ndarray:
+    """(blocks, rows, n) -> (*lead, blocks*n), the inverse of `_split`."""
+    return y.transpose(1, 0, 2).reshape(*lead, -1)
+
+def _weight_grad(xb: np.ndarray, dyb: np.ndarray, shape) -> np.ndarray:
+    """dw of y = x @ W.T from split x and dy (blocks, rows, ·), in W's shape."""
+    return (dyb.transpose(0, 2, 1) @ xb).reshape(shape)
+
+
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """y = x @ w.T + b over the trailing axis."""
-    y = x @ w.T
+    """y = x @ w.T + b over the trailing axis.
+
+    w is (out, in), or block-diagonal (blocks, out_b, in_b): output block
+    j then depends only on input block j, with out*in/blocks weights in
+    all. Dense is one block of the same matmul.
+    """
+    wb = _blocks(w)
+    y = _merge(_split(x, len(wb)) @ wb.transpose(0, 2, 1), x.shape[:-1])
     if b is not None:
         y = y + b
     return y
 
 def dense_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
-    """Returns (dx, dw, db) for y = x @ w.T + b."""
-    dx = dy @ w
-    dw = _matmul_weight_grad(x, w, dy)
+    """Returns (dx, dw, db) for y = dense_forward(x, w, b); dw has w's shape."""
+    wb = _blocks(w)
+    dyb = _split(dy, len(wb))
+    dx = _merge(dyb @ wb, x.shape[:-1])
+    dw = _weight_grad(_split(x, len(wb)), dyb, w.shape)
     db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
     return dx, dw, db
 
 
-def block_diagonal_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Blockwise y = x @ W.T with w of shape (blocks, out_b, in_b).
-
-    Output block j depends only on input block j; total parameter count is
-    out*in/blocks of the dense equivalent. blocks == 1 takes the dense
-    path and matches dense_forward bit for bit.
-    """
-    blocks, out_b, in_b = w.shape
-    if blocks == 1:
-        return dense_forward(x, w[0], b)
-    lead = x.shape[:-1]
-    xb = x.reshape(*lead, blocks, in_b)
-    y = np.einsum("...ki,koi->...ko", xb, w).reshape(*lead, blocks * out_b)
-    if b is not None:
-        y = y + b
-    return y
-
-def block_diagonal_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
-    blocks, out_b, in_b = w.shape
-    if blocks == 1:
-        dx, dw, db = dense_backward(x, w[0], dy)
-        return dx, dw[None], db
-    lead = x.shape[:-1]
-    dyb = dy.reshape(-1, blocks, out_b)
-    dx = np.einsum("nko,koi->nki", dyb, w).reshape(*lead, blocks * in_b)
-    dw = _matmul_weight_grad(x, w, dy)
-    db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-    return dx, dw, db
-
-
-def _matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return dense_forward(x, w) if w.ndim == 2 else block_diagonal_forward(x, w)
-
-def _matmul_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
-    if w.ndim == 2:
-        return dense_backward(x, w, dy)
-    return block_diagonal_backward(x, w, dy)
-
-
-def _matmul_weight_grad(x: np.ndarray, w: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """dw of _matmul_backward alone, for an input that needs no gradient."""
-    if w.ndim == 2:
-        return dy.reshape(-1, dy.shape[-1]).T @ x.reshape(-1, x.shape[-1])
-    blocks, out_b, in_b = w.shape
-    return np.einsum("nko,nki->koi", dy.reshape(-1, blocks, out_b), x.reshape(-1, blocks, in_b))
+# the block-diagonal names stay for their callers: it is the same kernel
+block_diagonal_forward = dense_forward
+block_diagonal_backward = dense_backward
 
 
 def block_parameter_count(size_out: int, size_in: int, blocks: int) -> int:
@@ -128,35 +111,28 @@ def block_parameter_count(size_out: int, size_in: int, blocks: int) -> int:
 # GRU cell
 # ---------------------------------------------------------------------------
 
-def _sigmoid(x):
-    return expit(x)
-
-
 class GRUCell:
     """Standard GRU: z, r gates and candidate, h' = (1-z)*h + z*cand.
 
-    With blocks > 1 the six gate matrices are block-diagonal (the pruned
-    deployment structure); blocks == 1 is the dense layout.
+    The six gate matrices are block-diagonal with `blocks` blocks (the
+    pruned deployment structure); dense is one block on the same code.
+    Inside, arrays are split per block as (blocks, batch, ·), and
+    `forward_sequence` and `step` run the same update, `_update`.
     """
 
     def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator,
                  blocks: int = 1, name: str = "gru", dtype=np.float64):
-        if blocks > 1 and (hidden % blocks or input_dim % blocks):
-            raise ConfigError("hidden and input dims must be divisible by blocks")
+        if blocks < 1 or hidden % blocks or input_dim % blocks:
+            raise ConfigError("blocks must be >= 1 and divide the hidden and input dims")
         self.input_dim = input_dim
         self.hidden = hidden
         self.blocks = blocks
         self.params: dict[str, Parameter] = {}
 
         def make(tag, rows, cols):
-            if blocks == 1:
-                value = init_weight(rng, (rows, cols), cols, rows, dtype)
-            else:
-                rb, cb = rows // blocks, cols // blocks
-                value = init_weight(rng, (blocks, rb, cb), cb, rb, dtype)
-            p = Parameter(f"{name}.{tag}", value)
-            self.params[tag] = p
-            return p
+            rb, cb = rows // blocks, cols // blocks
+            shape = (rows, cols) if blocks == 1 else (blocks, rb, cb)
+            self.params[tag] = Parameter(f"{name}.{tag}", init_weight(rng, shape, cb, rb, dtype))
 
         for gate in ("z", "r", "h"):
             make(f"U{gate}", hidden, input_dim)
@@ -166,6 +142,11 @@ class GRUCell:
     def _w(self, tag):
         return self.params[tag].value
 
+    def _stacked_t(self, *tags):
+        """Gate matrices as one contiguous (blocks, in_b, sum of out_b) array for
+        right-multiplication, side by side per block."""
+        return np.concatenate([_blocks(self._w(tag)).transpose(0, 2, 1) for tag in tags], axis=2)
+
     def input_gates(self, x: np.ndarray, bias: bool = True) -> np.ndarray:
         """Input-side gate pre-activations U x (+ b) for x (..., D), laid out for `step`.
 
@@ -174,16 +155,14 @@ class GRUCell:
         are linear in x, so a caller can split an input and add the parts'
         gates, with the bias in one part only.
         """
-        lead = x.shape[:-1]
-        blocks = self.blocks
-        xb = x.reshape(-1, blocks, x.shape[-1] // blocks).transpose(1, 0, 2)
-        y = xb @ self._stacked_t("Uz", "Ur", "Uh")  # (blocks, rows, 3hb)
+        y = _split(x, self.blocks) @ self._stacked_t("Uz", "Ur", "Uh")  # (blocks, rows, 3hb)
         if bias:
-            y += np.concatenate([self._w(f"b{g}").reshape(blocks, 1, -1) for g in "zrh"], axis=2)
-        return y.transpose(1, 0, 2).reshape(*lead, 3 * self.hidden)
+            y += np.concatenate([self._w(f"b{g}").reshape(self.blocks, 1, -1) for g in "zrh"],
+                                axis=2)
+        return _merge(y, x.shape[:-1])
 
     def step_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """The recurrent matrices as `step` reads them, built once per decode.
+        """The recurrent matrices as `_update` reads them, built once per sequence.
 
         [Rz; Rr] stacked as (blocks, hb, 2hb) and Rh as (blocks, hb, hb),
         each pre-transposed for right-multiplication by the state; dense
@@ -196,89 +175,55 @@ class GRUCell:
         """One update of state h (B, H) from input-gate pre-activations (B, 3H).
 
         `gates` is laid out as `input_gates` returns it and `weights` is
-        `step_weights()`. Per step this does one matmul over [Rz; Rr],
-        one sigmoid over both gates and one matmul over Rh.
+        `step_weights()`.
         """
-        rzr, rh = weights
-        blocks, hb, _ = rh.shape
-        batch = h.shape[0]
-        g = gates.reshape(batch, blocks, 1, 3 * hb)
-        h4 = h.reshape(batch, blocks, 1, hb)
-        zr = _sigmoid(g[..., : 2 * hb] + h4 @ rzr)
-        z, r = zr[..., :hb], zr[..., hb:]
-        cand = np.tanh(g[..., 2 * hb :] + (r * h4) @ rh)
-        return ((1.0 - z) * h4 + z * cand).reshape(batch, self.hidden)
-
-    def _stacked_t(self, *tags):
-        """Gate matrices as one contiguous (blocks, in_b, sum of out_b) array for
-        right-multiplication, side by side per block; dense is one block."""
-        wts = (self._transposed_gate(tag) for tag in tags)
-        return np.concatenate([wt if wt.ndim == 3 else wt[None] for wt in wts], axis=2)
-
-    def _transposed_gate(self, tag):
-        """Gate matrix prepared for right-multiplication by the state."""
-        w = self._w(tag)
-        return w.T if w.ndim == 2 else w.transpose(0, 2, 1)
+        h_new = self._update(_split(gates, self.blocks), _split(h, self.blocks), weights)[3]
+        return _merge(h_new, h.shape[:-1])
 
     @staticmethod
-    def _apply_t(h, wt):
-        """h @ W.T given the pre-transposed W (dense or block layout)."""
-        if wt.ndim == 2:
-            return h @ wt
-        blocks, in_b, out_b = wt.shape
-        hb = h.reshape(h.shape[0], blocks, in_b)
-        return np.einsum("bki,kio->bko", hb, wt).reshape(h.shape[0], blocks * out_b)
+    def _update(g, h, weights):
+        """The GRU update on split gates g (blocks, B, 3hb) and state h (blocks, B, hb).
+
+        One matmul over [Rz; Rr], one sigmoid over both gates and one
+        matmul over Rh; returns (z, r, cand, h_new), each (blocks, B, hb).
+        """
+        rzr, rh = weights
+        hb = rh.shape[-1]
+        zr = expit(g[..., : 2 * hb] + h @ rzr)
+        z, r = zr[..., :hb], zr[..., hb:]
+        cand = np.tanh(g[..., 2 * hb :] + (r * h) @ rh)
+        return z, r, cand, (1.0 - z) * h + z * cand
 
     def forward_sequence(self, xs: np.ndarray, h0: np.ndarray):
         """Run over (B, T, D); returns (states (B, T, H), cache).
 
-        Input-to-gate products for every step are batched into three large
-        multiplies before the sequential loop; the z and r recurrences are
-        fused into one multiply per step.
+        The input gates of every step come from one product before the
+        sequential loop; each step is `_update`, as in `step`.
         """
         batch, steps, _ = xs.shape
-        uz = _matmul(xs, self._w("Uz")) + self._w("bz")
-        ur = _matmul(xs, self._w("Ur")) + self._w("br")
-        uh = _matmul(xs, self._w("Uh")) + self._w("bh")
-
-        hs = np.empty((batch, steps, self.hidden), dtype=xs.dtype)
-        zs = np.empty_like(hs)
-        rs = np.empty_like(hs)
-        cands = np.empty_like(hs)
-        h = h0
-        hidden = self.hidden
-        rh_t = self._transposed_gate("Rh")
-        rzr_t = self._stacked_t("Rz", "Rr")  # (nb, hb, 2hb)
-        blocked = rh_t.ndim == 3
-        if not blocked:
-            rzr_t = rzr_t[0]  # (H, 2H)
+        blocks, hb = self.blocks, self.hidden // self.blocks
+        gates = _split(self.input_gates(xs), blocks).reshape(blocks, batch, steps, 3 * hb)
+        weights = self.step_weights()
+        zs, rs, cands, hs = (np.empty((blocks, batch, steps, hb), xs.dtype) for _ in range(4))
+        h = _split(h0, blocks)
         for t in range(steps):
-            a = self._apply_t(h, rzr_t)
-            if blocked:  # per-block layout interleaves the z and r halves
-                a = a.reshape(batch, self.blocks, 2, -1)
-                az = a[:, :, 0].reshape(batch, hidden)
-                ar = a[:, :, 1].reshape(batch, hidden)
-            else:
-                az, ar = a[:, :hidden], a[:, hidden:]
-            z = _sigmoid(uz[:, t] + az)
-            r = _sigmoid(ur[:, t] + ar)
-            cand = np.tanh(uh[:, t] + self._apply_t(r * h, rh_t))
-            h_new = (1.0 - z) * h + z * cand
-            zs[:, t], rs[:, t], cands[:, t], hs[:, t] = z, r, cand, h_new
-            h = h_new
+            zs[:, :, t], rs[:, :, t], cands[:, :, t], h = self._update(gates[:, :, t], h, weights)
+            hs[:, :, t] = h
         cache = (xs, h0, hs, zs, rs, cands)
-        return hs, cache
+        return _merge(hs.reshape(blocks, -1, hb), (batch, steps)), cache
 
     def backward_sequence(self, d_hs: np.ndarray, cache):
-        """Backprop through time; accumulates weight grads, returns (dxs, dh0)."""
-        xs, h0, hs, zs, rs, cands = cache
-        batch, steps, _ = xs.shape
-        # dx = da @ W contractions inside the loop, weight grads batched after
-        rz, rr, rh = self._w("Rz"), self._w("Rr"), self._w("Rh")
-        rh_flat = rh if rh.ndim == 2 else None
-        rzr = np.concatenate([rz, rr], axis=0) if rz.ndim == 2 else None
+        """Backprop through time; accumulates weight grads, returns (dxs, dh0).
 
-        h_prevs = np.concatenate([h0[:, None, :], hs[:, :-1]], axis=1)
+        Per step one product over [Rz; Rr] and one over Rh carry the state
+        gradient back; the weight gradients are batched after the loop.
+        """
+        xs, h0, hs, zs, rs, cands = cache
+        blocks, batch, steps, hb = zs.shape
+        rzr = np.concatenate([_blocks(self._w("Rz")), _blocks(self._w("Rr"))], axis=1)
+        rh = _blocks(self._w("Rh"))
+        d_hs = _split(d_hs, blocks).reshape(zs.shape)
+        h_prevs = np.concatenate([_split(h0, blocks)[:, :, None], hs[:, :, :-1]], axis=2)
         # elementwise factors hoisted out of the sequential loop
         sig_z = zs * (1.0 - zs)
         sig_r = rs * (1.0 - rs)
@@ -286,46 +231,34 @@ class GRUCell:
         c_minus_h = cands - h_prevs
         one_minus_z = 1.0 - zs
 
-        daz = np.empty_like(zs)
-        dar = np.empty_like(zs)
-        dah = np.empty_like(zs)
-        dzr = np.empty((batch, 2 * self.hidden), dtype=xs.dtype)
-        dh = np.zeros((batch, self.hidden), dtype=xs.dtype)
+        daz, dar, dah = (np.empty_like(zs) for _ in range(3))
+        dzr = np.empty((blocks, batch, 2 * hb), dtype=xs.dtype)
+        dh = np.zeros((blocks, batch, hb), dtype=xs.dtype)
         for t in range(steps - 1, -1, -1):
-            h_prev = h_prevs[:, t]
-            dtot = d_hs[:, t] + dh
-            da_h = dtot * zs[:, t] * dtanh[:, t]
-            if rh_flat is not None:
-                drh = da_h @ rh_flat
-            else:
-                drh = block_diagonal_backward(rs[:, t] * h_prev, rh, da_h)[0]
-            da_r = drh * h_prev * sig_r[:, t]
-            da_z = dtot * c_minus_h[:, t] * sig_z[:, t]
-            if rzr is not None:
-                dzr[:, : self.hidden] = da_z
-                dzr[:, self.hidden :] = da_r
-                dh_rec = dzr @ rzr
-            else:
-                dh_rec = (
-                    block_diagonal_backward(h_prev, rr, da_r)[0]
-                    + block_diagonal_backward(h_prev, rz, da_z)[0]
-                )
-            dh = dtot * one_minus_z[:, t] + drh * rs[:, t] + dh_rec
-            daz[:, t], dar[:, t], dah[:, t] = da_z, da_r, da_h
+            h_prev = h_prevs[:, :, t]
+            dtot = d_hs[:, :, t] + dh
+            da_h = dtot * zs[:, :, t] * dtanh[:, :, t]
+            drh = da_h @ rh
+            da_r = drh * h_prev * sig_r[:, :, t]
+            da_z = dtot * c_minus_h[:, :, t] * sig_z[:, :, t]
+            dzr[..., :hb] = da_z
+            dzr[..., hb:] = da_r
+            dh = dtot * one_minus_z[:, :, t] + drh * rs[:, :, t] + dzr @ rzr
+            daz[:, :, t], dar[:, :, t], dah[:, :, t] = da_z, da_r, da_h
 
-        rh_prev = rs * h_prevs
+        # the weight-gradient rows stay (B, T) b-major, and dxs sums three U
+        # products in z, r, h order: a fused (3H, in) product rounds otherwise
+        rows = (blocks, -1, hb)
         dxs = np.zeros_like(xs)
-        for tag, da, inp in (
-            ("z", daz, h_prevs),
-            ("r", dar, h_prevs),
-            ("h", dah, rh_prev),
-        ):
-            dx_u, dw_u, db = _matmul_backward(xs, self._w(f"U{tag}"), da)
+        for tag, da, inp in (("z", daz, h_prevs), ("r", dar, h_prevs), ("h", dah, rs * h_prevs)):
+            dx_u, dw_u, db = dense_backward(xs, self._w(f"U{tag}"),
+                                            _merge(da.reshape(rows), (batch, steps)))
             dxs += dx_u
             self.params[f"U{tag}"].grad += dw_u
-            self.params[f"R{tag}"].grad += _matmul_weight_grad(inp, self._w(f"R{tag}"), da)
+            self.params[f"R{tag}"].grad += _weight_grad(inp.reshape(rows), da.reshape(rows),
+                                                        self._w(f"R{tag}").shape)
             self.params[f"b{tag}"].grad += db
-        return dxs, dh
+        return dxs, _merge(dh, (batch,))
 
     def weight_parameter_count(self) -> int:
         """Gate matrix entries only (biases excluded)."""

@@ -4,8 +4,9 @@ The trainer consumes either a manifest of WAV files or the built-in
 synthetic dataset (harmonic tones with vibrato plus filtered noise
 bursts), mixes noise at a random SNR per clip, and minimizes the
 teacher-forced NLL plus the predictive-variance regularizer. Metrics go
-to an append-only CSV (step, nll, jvar, sigma_mean, sparsity);
-checkpoints carry the optimizer state so training resumes bit-exactly.
+to a CSV (step, nll, jvar, sigma_mean, sparsity) that a resume cuts back
+to its checkpoint; checkpoints carry the optimizer state so training
+resumes bit-exactly.
 """
 
 from __future__ import annotations
@@ -337,11 +338,22 @@ def learning_rate(tc: TrainConfig, step: int) -> float:
     return tc.lr / (1.0 + (step - 1) / LR_DECAY_STEPS)
 
 
+def _metrics_rows_through(path: str, step: int) -> list[str]:
+    """The complete rows of metrics CSV `path` for steps <= `step`; [] if it is absent."""
+    if not os.path.exists(path):
+        return []
+    with open(path, newline="") as fh:
+        rows = fh.readlines()[1:]
+    # a row cut short by a crash has no line end
+    return [row for row in rows if row.endswith("\n") and int(row.split(",", 1)[0]) <= step]
+
+
 def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
           resume_from: str | None = None, log_every: int = 1) -> TrainResult:
     """Run the training loop; deterministic for a given config and seed.
 
-    Writes checkpoint files and an append-only metrics CSV into out_dir.
+    Writes checkpoint files and a metrics CSV into out_dir; a resume
+    keeps the CSV's rows through its checkpoint and appends from there.
     A non-finite loss halts training with the last good checkpoint kept.
 
     Adam's step size decays as 1/t (`learning_rate`), as in LPCNet's
@@ -376,11 +388,12 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
     metrics: list[dict] = []
-    new_file = not os.path.exists(metrics_path) or resume_from is None
-    metrics_fh = open(metrics_path, "w" if new_file else "a", newline="")
+    # a resume keeps the rows through its checkpoint; the steps after it run again
+    kept = _metrics_rows_through(metrics_path, start_step) if resume_from is not None else []
+    metrics_fh = open(metrics_path, "w", newline="")
     writer = csv.writer(metrics_fh)
-    if new_file:
-        writer.writerow(METRICS_HEADER)
+    writer.writerow(METRICS_HEADER)
+    metrics_fh.writelines(kept)
 
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     series: list[str] = []

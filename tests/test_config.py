@@ -47,6 +47,8 @@ def test_bad_values_rejected():
     for bad in ("train.reg_bands = 0", "train.reg_bands = 5",
                 "features.hop_ms = 10.0",  # 100 frames/s against model.frame_rate 50
                 "model.n_mix = 0",
+                "model.gru_blocks = 0",
+                "model.gru_blocks = -2",
                 "train.nu = nan",
                 "train.lr = inf",
                 "quantizer.bits_per_supervector = 1281"):  # 160 splits of <= 8 bits

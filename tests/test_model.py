@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lvrc import mol
-from lvrc.config import ModelConfig
+from lvrc.config import ModelConfig, toy_config
 from lvrc.errors import ConfigError
 from lvrc.model import CodecModel
 from lvrc.neural import GRUCell, dense_forward
@@ -226,6 +226,20 @@ class TestGenerate:
         model.generate(np.zeros((8, 5)), np.random.default_rng(0), seconds=0.25)
         steps = int(0.25 * model.cfg.sample_rate) // model.cfg.n_bands
         assert counts == {"step": steps, "sample": steps}
+
+    def test_training_never_enters_the_decode_step(self, monkeypatch):
+        # GRUCell.step is the decode span of the benchmark's trace; the
+        # teacher-forced sequence shares its update without calling it
+        calls = []
+        step = GRUCell.step
+        monkeypatch.setattr(GRUCell, "step", lambda *a, **k: calls.append(1) or step(*a, **k))
+        cfg = toy_config().model
+        model = CodecModel(cfg, seed=0)
+        rng = np.random.default_rng(19)
+        audio = rng.uniform(-0.8, 0.8, (2, 320))
+        mels = rng.uniform(-15.0, 3.0, (2, 2, cfg.n_mels))
+        model.teacher_forced(audio, mels, nu=0.01, voicing=rng.uniform(0.0, 1.0, (2, 2)))
+        assert len(calls) == 0
 
     def test_fixed_seed_reproducible(self):
         model = tiny_model(seed=9)

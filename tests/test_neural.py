@@ -16,6 +16,22 @@ def rand(rng, *shape):
     return rng.normal(0.0, 1.0, shape)
 
 
+def block_expand(w):
+    """The dense (out, in) matrix of block-diagonal w (blocks, out_b, in_b)."""
+    blocks, out_b, in_b = w.shape
+    dense = np.zeros((blocks * out_b, blocks * in_b))
+    for k in range(blocks):
+        dense[k * out_b : (k + 1) * out_b, k * in_b : (k + 1) * in_b] = w[k]
+    return dense
+
+
+def reblock(dense, blocks):
+    """The diagonal blocks of a dense matrix, as (blocks, out_b, in_b)."""
+    out_b, in_b = dense.shape[0] // blocks, dense.shape[1] // blocks
+    return np.stack([dense[k * out_b : (k + 1) * out_b, k * in_b : (k + 1) * in_b]
+                     for k in range(blocks)])
+
+
 class TestDense:
     def test_identity(self):
         x = np.random.default_rng(0).normal(0, 1, (4, 5))
@@ -90,6 +106,11 @@ class TestGRU:
         h = cell.step(cell.input_gates(np.ones((2, 4))), np.zeros((2, 4)), cell.step_weights())
         assert np.all(h == 0.0)
 
+    @pytest.mark.parametrize("blocks", [0, -2, 3])
+    def test_bad_block_count_rejected(self, blocks):
+        with pytest.raises(ConfigError):
+            neural.GRUCell(8, 8, np.random.default_rng(0), blocks=blocks)
+
     def test_sixteen_blocks_hold_a_sixteenth_of_dense_gate_weights(self):
         rng = np.random.default_rng(0)
         dense = neural.GRUCell(64, 64, rng, blocks=1)
@@ -136,6 +157,28 @@ class TestGRU:
         for t in range(9):
             h = cell.step(cell.input_gates(xs[:, t]), h, weights)
         assert np.allclose(h, hs[:, -1], atol=1e-14)
+
+    def test_blocks_match_their_dense_expansion(self):
+        rng = np.random.default_rng(15)
+        blocked = neural.GRUCell(8, 8, rng, blocks=4)
+        dense = neural.GRUCell(8, 8, rng)
+        for tag, p in blocked.params.items():
+            p.value[...] = rand(rng, *p.value.shape)
+            dense.params[tag].value[...] = block_expand(p.value) if p.value.ndim == 3 else p.value
+        xs, h0, c = rand(rng, 3, 6, 8), rand(rng, 3, 8), rand(rng, 3, 6, 8)
+        outs = []
+        for cell in (blocked, dense):
+            hs, cache = cell.forward_sequence(xs, h0)
+            h, weights = h0, cell.step_weights()
+            for t in range(6):
+                h = cell.step(cell.input_gates(xs[:, t]), h, weights)
+            outs.append((hs, h, *cell.backward_sequence(c, cache)))
+        for a, b in zip(*outs):  # states, stepped state, dxs, dh0
+            assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+        for tag, p in blocked.params.items():
+            g = dense.params[tag].grad
+            assert np.allclose(p.grad, reblock(g, 4) if p.value.ndim == 3 else g,
+                               rtol=0.0, atol=1e-12)
 
     def test_input_gates_split_over_summands(self):
         # the decoder adds the gates of the conditioning and of the previous

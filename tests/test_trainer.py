@@ -173,6 +173,13 @@ class TestTrainingLoop:
         for m in resumed.metrics:
             assert m["nll"] == full_by_step[m["step"]]
 
+        # a resume in the same directory replaces the rows past its checkpoint
+        again = train(cfg_a, tmp_path / "rerun", dataset=dataset,
+                      resume_from=rerun.checkpoint_series[0], log_every=1)
+        assert [m["step"] for m in again.metrics] == list(range(16, 31))
+        assert ((tmp_path / "rerun" / "metrics.csv").read_bytes()
+                == (tmp_path / "full" / "metrics.csv").read_bytes())
+
     def test_learning_rate_depends_on_step_alone(self):
         tc = short_cfg(lr=2e-3).train
         assert learning_rate(tc, 1) == 2e-3
