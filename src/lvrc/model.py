@@ -185,12 +185,6 @@ class CodecModel:
 
     # -- forward pieces ------------------------------------------------------
 
-    def conditioning(self, mels: np.ndarray, with_cache: bool = False):
-        """Tiled conditioning at the band sample rate, (B, F*8*tile, H)."""
-        cond, acts = self.cond.forward(np.asarray(mels, dtype=self.dtype))
-        tiled = np.repeat(cond, self.cfg.tile_factor, axis=1)
-        return (tiled, cond, acts) if with_cache else tiled
-
     def band_targets(self, audio: np.ndarray) -> np.ndarray:
         """Critically sampled band signals for teacher forcing, (B, N, L//N)."""
         audio = np.atleast_2d(np.asarray(audio, dtype=np.float64))
@@ -226,17 +220,24 @@ class CodecModel:
         batch, n_bands, steps = bands.shape
         if not 1 <= reg_bands <= n_bands:
             raise ConfigError(f"reg_bands must be in 1..{n_bands}, got {reg_bands}")
-        tiled, cond, acts = self.conditioning(mels, with_cache=True)
-        if tiled.shape[1] < steps:
+        cond, acts = self.cond.forward(mels)
+        tile = cfg.tile_factor
+        if cond.shape[1] * tile < steps:
             raise ConfigError("conditioning shorter than the audio")
-        tiled = tiled[:, :steps]
 
         prev = np.concatenate(
             [np.zeros((batch, n_bands, 1), self.dtype), bands[:, :, :-1]], axis=2
         ).transpose(0, 2, 1)  # (B, T, N)
-        xs = dense_forward(prev, self.in_proj_w.value, self.in_proj_b.value) + tiled
+        xs = dense_forward(prev, self.in_proj_w.value, self.in_proj_b.value)
+        # + the conditioning tiled to the band rate: step t reads frame
+        # t // tile, added in place for each offset j within a frame
+        for j in range(tile):
+            xs_j = xs[:, j::tile]
+            xs_j += cond[:, : xs_j.shape[1]]
         h0 = np.zeros((batch, cfg.gru_state), self.dtype)
         hs, gru_cache = self.gru.forward_sequence(xs, h0)
+        if not compute_grads:
+            self.gru.release()  # no backward follows, so the buffers go back now
         flat = dense_forward(hs, self.out_w.value, self.out_b.value)
         raw = mol.RawMoLParams.from_flat(
             flat.reshape(batch, steps, n_bands, 3 * cfg.n_mix), cfg.n_mix
@@ -297,17 +298,11 @@ class CodecModel:
         _, dw, db = dense_backward(prev, self.in_proj_w.value, d_xs)
         self.in_proj_w.grad += dw
         self.in_proj_b.grad += db
-        d_cond_steps = d_xs  # gradient w.r.t. the tiled conditioning
-        tile = cfg.tile_factor
-        d_tiled = np.zeros((batch, tiled.shape[1], cfg.gru_state), self.dtype)
-        d_tiled[:, :steps] = d_cond_steps
-        pad_to = cond.shape[1] * tile
-        if d_tiled.shape[1] < pad_to:
-            d_tiled = np.concatenate(
-                [d_tiled, np.zeros((batch, pad_to - d_tiled.shape[1], cfg.gru_state), self.dtype)],
-                axis=1,
-            )
-        d_cond = d_tiled.reshape(batch, cond.shape[1], tile, cfg.gru_state).sum(axis=2)
+        # each conditioning frame's gradient sums its steps' in offset order
+        d_cond = np.zeros_like(cond)
+        for j in range(tile):
+            d_j = d_xs[:, j::tile]
+            d_cond[:, : d_j.shape[1]] += d_j
         self.cond.backward(d_cond, acts)
         return result
 

@@ -2,7 +2,8 @@
 
 One dense kernel whose weight is (out, in) or block-diagonal (blocks,
 out_b, in_b), dense being one block on the same code; a GRU cell whose
-training sequence and decode step run one update; causal dilated /
+training sequence and decode step run one update, the sequence in
+buffers it reuses from call to call; causal dilated /
 non-causal / transpose 1-D convolutions, Adam with pruning-mask
 enforcement, and the cubic magnitude-pruning schedule. Backward
 functions return exact analytic gradients; the finite-difference test
@@ -116,8 +117,16 @@ class GRUCell:
 
     The six gate matrices are block-diagonal with `blocks` blocks (the
     pruned deployment structure); dense is one block on the same code.
-    Inside, arrays are split per block as (blocks, batch, ·), and
-    `forward_sequence` and `step` run the same update, `_update`.
+    Inside, arrays are split per block as (blocks, batch, ·); `step` and
+    `forward_sequence` both run `_update`, the latter writing into buffers
+    the cell keeps.
+
+    Those sequence buffers stay with the cell and are reused while
+    (batch, steps, dtype) stays the same, until `release` frees them. The
+    states and cache that `forward_sequence` returns are views of them:
+    they stay valid until the next `forward_sequence` on this cell, and
+    one `backward_sequence` uses the cache up. `CodecModel.teacher_forced`
+    is the only caller that holds a cache across other work.
     """
 
     def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator,
@@ -138,6 +147,9 @@ class GRUCell:
             make(f"U{gate}", hidden, input_dim)
             make(f"R{gate}", hidden, hidden)
             self.params[f"b{gate}"] = Parameter(f"{name}.b{gate}", np.zeros(hidden, dtype))
+        self._seq_key = None
+        self._seq: dict[str, np.ndarray] = {}
+        self._live_cache = None  # the token of the one cache backward may use
 
     def _w(self, tag):
         return self.params[tag].value
@@ -155,11 +167,15 @@ class GRUCell:
         are linear in x, so a caller can split an input and add the parts'
         gates, with the bias in one part only.
         """
-        y = _split(x, self.blocks) @ self._stacked_t("Uz", "Ur", "Uh")  # (blocks, rows, 3hb)
+        return _merge(self._split_gates(x, bias), x.shape[:-1])
+
+    def _split_gates(self, x, bias=True, out=None):
+        """`input_gates` before the merge: (blocks, rows, 3hb), rows in x's order."""
+        y = np.matmul(_split(x, self.blocks), self._stacked_t("Uz", "Ur", "Uh"), out=out)
         if bias:
             y += np.concatenate([self._w(f"b{g}").reshape(self.blocks, 1, -1) for g in "zrh"],
                                 axis=2)
-        return _merge(y, x.shape[:-1])
+        return y
 
     def step_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """The recurrent matrices as `_update` reads them, built once per sequence.
@@ -181,83 +197,151 @@ class GRUCell:
         return _merge(h_new, h.shape[:-1])
 
     @staticmethod
-    def _update(g, h, weights):
+    def _update(g, h, weights, out=(None,) * 5):
         """The GRU update on split gates g (blocks, B, 3hb) and state h (blocks, B, hb).
 
         One matmul over [Rz; Rr], one sigmoid over both gates and one
         matmul over Rh; returns (z, r, cand, h_new), each (blocks, B, hb).
+        `out` may name arrays for zr, cand and h_new and two (blocks, B, hb)
+        scratch arrays to write into; each left None is allocated.
         """
         rzr, rh = weights
         hb = rh.shape[-1]
-        zr = expit(g[..., : 2 * hb] + h @ rzr)
+        zr, cand, h_new, one_minus_z, z_cand = out
+        zr = expit(np.add(g[..., : 2 * hb], h @ rzr, out=zr), out=zr)
         z, r = zr[..., :hb], zr[..., hb:]
-        cand = np.tanh(g[..., 2 * hb :] + (r * h) @ rh)
-        return z, r, cand, (1.0 - z) * h + z * cand
+        cand = np.tanh(np.add(g[..., 2 * hb :], (r * h) @ rh, out=cand), out=cand)
+        h_new = np.multiply(np.subtract(1.0, z, out=one_minus_z), h, out=h_new)
+        h_new += np.multiply(z, cand, out=z_cand)
+        return z, r, cand, h_new
+
+    def _buffers(self, batch: int, steps: int, dtype) -> dict[str, np.ndarray]:
+        """The sequence arrays for (batch, steps, dtype), kept while the shape stays.
+
+        The forward pass fills the input gates (three units of
+        batch*steps*hidden values), z and r (two), cand and the states (one
+        each): seven units, its peak when it allocated them per call. "zr"
+        and "cand" are time-major, (steps, blocks, batch, ·), so step t is
+        one contiguous slice; the states are (B, T, H) as returned, and
+        "hs" views them per block as (blocks, B, T, hb). The backward pass
+        adds its own buffers on first use and reuses the dead gates.
+        """
+        key = (batch, steps, np.dtype(dtype))
+        if key != self._seq_key:
+            self.release()  # free the old shape's arrays before allocating
+            blocks, hb = self.blocks, self.hidden // self.blocks
+            states = np.empty((batch, steps, self.hidden), dtype)
+            self._seq = {
+                "gates": np.empty((blocks, batch * steps, 3 * hb), dtype),
+                "zr": np.empty((steps, blocks, batch, 2 * hb), dtype),
+                "cand": np.empty((steps, blocks, batch, hb), dtype),
+                "states": states,
+                "hs": states.reshape(batch, steps, blocks, hb).transpose(2, 0, 1, 3),
+            }
+            self._seq_key = key
+        return self._seq
+
+    def release(self) -> None:
+        """Free the sequence buffers; the next `forward_sequence` allocates them anew.
+
+        Arrays a caller still holds, such as returned states, stay valid.
+        """
+        self._seq, self._seq_key, self._live_cache = {}, None, None
 
     def forward_sequence(self, xs: np.ndarray, h0: np.ndarray):
         """Run over (B, T, D); returns (states (B, T, H), cache).
 
         The input gates of every step come from one product before the
-        sequential loop; each step is `_update`, as in `step`.
+        sequential loop; each step is `_update`, writing straight into the
+        cell's buffers. The states and the cache are views of those
+        buffers, valid until the next `forward_sequence` on this cell.
         """
         batch, steps, _ = xs.shape
         blocks, hb = self.blocks, self.hidden // self.blocks
-        gates = _split(self.input_gates(xs), blocks).reshape(blocks, batch, steps, 3 * hb)
+        buf = self._buffers(batch, steps, xs.dtype)
+        zr, cand, hs = buf["zr"], buf["cand"], buf["hs"]
+        gates = self._split_gates(xs, out=buf["gates"]).reshape(blocks, batch, steps, 3 * hb)
         weights = self.step_weights()
-        zs, rs, cands, hs = (np.empty((blocks, batch, steps, hb), xs.dtype) for _ in range(4))
-        h = _split(h0, blocks)
+        h0 = h = _split(h0, blocks).copy()  # h0 may be a view of the states it precedes
+        scratch = np.empty_like(h), np.empty_like(h)
         for t in range(steps):
-            zs[:, :, t], rs[:, :, t], cands[:, :, t], h = self._update(gates[:, :, t], h, weights)
-            hs[:, :, t] = h
-        cache = (xs, h0, hs, zs, rs, cands)
-        return _merge(hs.reshape(blocks, -1, hb), (batch, steps)), cache
+            out = (zr[t], cand[t], hs[:, :, t], *scratch)
+            h = self._update(gates[:, :, t], h, weights, out)[3]
+        self._live_cache = token = object()
+        return buf["states"], (xs, h0, token)
 
     def backward_sequence(self, d_hs: np.ndarray, cache):
         """Backprop through time; accumulates weight grads, returns (dxs, dh0).
 
-        Per step one product over [Rz; Rr] and one over Rh carry the state
+        `cache` must come from the last `forward_sequence` on this cell and
+        is used up: the pass overwrites the forward buffers it reads. dxs
+        is a buffer of the cell too, valid until the next backward. Per
+        step one product over [Rz; Rr] and one over Rh carry the state
         gradient back; the weight gradients are batched after the loop.
         """
-        xs, h0, hs, zs, rs, cands = cache
-        blocks, batch, steps, hb = zs.shape
+        xs, h0, token = cache
+        if token is not self._live_cache:
+            raise ValueError("stale GRU cache: forward_sequence ran again, or it was used")
+        self._live_cache = None
+        buf = self._seq
+        gates, zr, cands, hs = buf["gates"], buf["zr"], buf["cand"], buf["hs"]
+        steps, blocks, batch, hb = cands.shape
+        if "dzr" not in buf:
+            buf["one_minus_z"], buf["dah"] = np.empty_like(cands), np.empty_like(cands)
+            buf["dzr"] = np.empty_like(zr)
+            buf["dxs"] = np.empty(xs.shape, xs.dtype)
+            buf["dx_u"] = np.empty((blocks, batch * steps, xs.shape[-1] // blocks), xs.dtype)
+        one_minus_z, dzr, dah = buf["one_minus_z"], buf["dzr"], buf["dah"]
         rzr = np.concatenate([_blocks(self._w("Rz")), _blocks(self._w("Rr"))], axis=1)
         rh = _blocks(self._w("Rh"))
-        d_hs = _split(d_hs, blocks).reshape(zs.shape)
-        h_prevs = np.concatenate([_split(h0, blocks)[:, :, None], hs[:, :, :-1]], axis=2)
-        # elementwise factors hoisted out of the sequential loop
-        sig_z = zs * (1.0 - zs)
-        sig_r = rs * (1.0 - rs)
-        dtanh = 1.0 - cands**2
-        c_minus_h = cands - h_prevs
-        one_minus_z = 1.0 - zs
+        d_hs = d_hs.reshape(batch, steps, blocks, hb).transpose(1, 2, 0, 3)  # time-major
+        zs, rs = zr[..., :hb], zr[..., hb:]
+        # elementwise factors hoisted out of the sequential loop; the first
+        # three take the dead input gates' memory, tanh' takes cand's
+        sig_z, sig_r, c_minus_h = gates.reshape(3, steps, blocks, batch, hb)
+        np.multiply(zs, np.subtract(1.0, zs, out=one_minus_z), out=sig_z)
+        np.multiply(rs, np.subtract(1.0, rs, out=sig_r), out=sig_r)
+        np.subtract(cands[0], h0, out=c_minus_h[0])
+        np.subtract(cands[1:], hs[:, :, :-1].transpose(2, 0, 1, 3), out=c_minus_h[1:])
+        dtanh = np.subtract(1.0, np.square(cands, out=cands), out=cands)
 
-        daz, dar, dah = (np.empty_like(zs) for _ in range(3))
-        dzr = np.empty((blocks, batch, 2 * hb), dtype=xs.dtype)
-        dh = np.zeros((blocks, batch, hb), dtype=xs.dtype)
+        dtot = np.empty_like(h0)
+        dh = np.zeros_like(h0)
         for t in range(steps - 1, -1, -1):
-            h_prev = h_prevs[:, :, t]
-            dtot = d_hs[:, :, t] + dh
-            da_h = dtot * zs[:, :, t] * dtanh[:, :, t]
+            np.add(d_hs[t], dh, out=dtot)
+            da_h, da_z, da_r = dah[t], dzr[t, ..., :hb], dzr[t, ..., hb:]
+            np.multiply(np.multiply(dtot, zs[t], out=da_h), dtanh[t], out=da_h)
             drh = da_h @ rh
-            da_r = drh * h_prev * sig_r[:, :, t]
-            da_z = dtot * c_minus_h[:, :, t] * sig_z[:, :, t]
-            dzr[..., :hb] = da_z
-            dzr[..., hb:] = da_r
-            dh = dtot * one_minus_z[:, :, t] + drh * rs[:, :, t] + dzr @ rzr
-            daz[:, :, t], dar[:, :, t], dah[:, :, t] = da_z, da_r, da_h
+            h_prev = hs[:, :, t - 1] if t else h0
+            np.multiply(np.multiply(drh, h_prev, out=da_r), sig_r[t], out=da_r)
+            np.multiply(np.multiply(dtot, c_minus_h[t], out=da_z), sig_z[t], out=da_z)
+            dh = dtot * one_minus_z[t] + drh * rs[t] + dzr[t] @ rzr
 
         # the weight-gradient rows stay (B, T) b-major, and dxs sums three U
-        # products in z, r, h order: a fused (3H, in) product rounds otherwise
+        # products in z, r, h order: a fused (3H, in) product rounds otherwise.
+        # The b-major rows go into the buffers the loop is done with.
+        daz, dar, dah_rows = gates.reshape(3, blocks, batch, steps, hb)
+        h_prevs = one_minus_z.reshape(blocks, batch, steps, hb)
+        rh_prevs = cands.reshape(blocks, batch, steps, hb)
+        b_major = (1, 2, 0, 3)
+        np.copyto(daz, dzr[..., :hb].transpose(b_major))
+        np.copyto(dar, dzr[..., hb:].transpose(b_major))
+        np.copyto(dah_rows, dah.transpose(b_major))
+        h_prevs[:, :, 0] = h0
+        h_prevs[:, :, 1:] = hs[:, :, :-1]
+        np.multiply(rs.transpose(b_major), h_prevs, out=rh_prevs)
         rows = (blocks, -1, hb)
-        dxs = np.zeros_like(xs)
-        for tag, da, inp in (("z", daz, h_prevs), ("r", dar, h_prevs), ("h", dah, rs * h_prevs)):
-            dx_u, dw_u, db = dense_backward(xs, self._w(f"U{tag}"),
-                                            _merge(da.reshape(rows), (batch, steps)))
-            dxs += dx_u
-            self.params[f"U{tag}"].grad += dw_u
-            self.params[f"R{tag}"].grad += _weight_grad(inp.reshape(rows), da.reshape(rows),
+        dxs, dx_u = buf["dxs"], buf["dx_u"]
+        dxs[...] = 0.0
+        dxs_split = _split(dxs, blocks)
+        for tag, da, inp in (("z", daz, h_prevs), ("r", dar, h_prevs), ("h", dah_rows, rh_prevs)):
+            da = da.reshape(rows)
+            u = self._w(f"U{tag}")
+            dxs_split += np.matmul(da, _blocks(u), out=dx_u)
+            self.params[f"U{tag}"].grad += _weight_grad(_split(xs, blocks), da, u.shape)
+            self.params[f"R{tag}"].grad += _weight_grad(inp.reshape(rows), da,
                                                         self._w(f"R{tag}").shape)
-            self.params[f"b{tag}"].grad += db
+            self.params[f"b{tag}"].grad += da.sum(axis=1).reshape(-1)
         return dxs, _merge(dh, (batch,))
 
     def weight_parameter_count(self) -> int:

@@ -354,7 +354,12 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
 
     Writes checkpoint files and a metrics CSV into out_dir; a resume
     keeps the CSV's rows through its checkpoint and appends from there.
-    A non-finite loss halts training with the last good checkpoint kept.
+    `model.ckpt` is written at the start step, fresh or resumed, again
+    every `checkpoint_interval` steps (each also kept as
+    `model_step<n>.ckpt`) and at the last step. A non-finite loss halts
+    training with `halted` set: `model.ckpt` then holds the last of those
+    saves, at worst the start step's, so it always loads and resumes, and
+    `metrics.csv` keeps the rows of the steps before the halt.
 
     Adam's step size decays as 1/t (`learning_rate`), as in LPCNet's
     training. At a constant step size the iterate keeps wandering on the
@@ -415,6 +420,7 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
 
         baseline = BaselineSpec(tc.baseline_gamma0)
 
+    save(start_step)  # so a halt before the first interval still leaves one
     try:
         for step in range(start_step + 1, tc.steps + 1):
             audio, mels, voicing = dataset.batch(step)

@@ -41,17 +41,12 @@ def paired_runs(tmp_path_factory):
 
     The runs are independent, so they train side by side in two worker
     processes. Each worker gets a single BLAS thread (two multi-threaded
-    BLAS pools on the same cores spin against each other) and keeps freed
-    heap memory instead of handing it back to the kernel (a step allocates
-    and frees tens of megabytes of temporaries; returning them costs about
-    10k page faults per step). None of this changes a run's arithmetic:
-    the checkpoints are the same bytes as those of in-process training.
+    BLAS pools on the same cores spin against each other). That does not
+    change a run's arithmetic: the checkpoints are the same bytes as those
+    of in-process training.
     """
     out, jobs = {}, {}
-    worker_env = {
-        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-        "MALLOC_MMAP_THRESHOLD_": str(64 << 20), "MALLOC_TRIM_THRESHOLD_": str(256 << 20),
-    }
+    worker_env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     with pytest.MonkeyPatch.context() as env:
         for var, value in worker_env.items():
             env.setenv(var, value)  # read by the workers at start-up

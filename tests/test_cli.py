@@ -12,6 +12,7 @@ import lvrc
 from lvrc import cli
 from lvrc.audio import AudioBuffer, load_wav, save_wav
 from lvrc.config import paper_config, toy_config
+from lvrc.model import CodecModel
 from lvrc.trainer import synthetic_clip
 
 
@@ -233,6 +234,36 @@ class TestEval:
         assert "missing" in capsys.readouterr().err
         assert report.exists()
         assert len(list(csv.DictReader(open(report)))) == 0
+
+
+class TestTrain:
+    def test_halt_before_first_checkpoint_leaves_a_resumable_one(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        cfg = toy_config()
+        cfg.train.steps = 4
+        cfg.train.batch_size = 2
+        cfg.train.checkpoint_interval = 4
+        cfg_path = tmp_path / "toy.cfg"
+        cfg.save(cfg_path)
+        n = int(round(cfg.train.clip_seconds * cfg.features.sample_rate))
+        good = lvrc.trainer.ClipDataset.synthetic(cfg, n_clips=4, n_noises=0)
+        nan_clips = classmethod(lambda cls, cfg: cls(cfg, [np.full(n, np.nan)], []))
+        monkeypatch.setattr(lvrc.trainer.ClipDataset, "synthetic", nan_clips)
+
+        rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")])
+        assert rc == 4
+        out = capsys.readouterr().out
+        assert "halted on non-finite loss at step 1" in out
+        ckpt = out.strip().rsplit("checkpoint: ", 1)[1]
+        step, _ = CodecModel(cfg.model).load_checkpoint(ckpt, expected_digest=cfg.digest())
+        assert step == 0
+
+        resumed = lvrc.trainer.train(cfg, tmp_path / "resumed", dataset=good, resume_from=ckpt)
+        fresh = lvrc.trainer.train(cfg, tmp_path / "fresh", dataset=good)
+        assert not resumed.halted
+        assert [m["nll"] for m in resumed.metrics] == [m["nll"] for m in fresh.metrics]
+        assert ((tmp_path / "resumed" / "model.ckpt").read_bytes()
+                == (tmp_path / "fresh" / "model.ckpt").read_bytes())
 
 
 class TestUsage:

@@ -35,22 +35,23 @@ class TestConditioning:
                           n_mels=5, frame_rate=50, sample_rate=16000, fb_taps=16)
         assert cfg.tile_factor == 10
         model = CodecModel(cfg, seed=0)
-        mels = np.zeros((1, 7, 5))
-        cond, raw_cond, _ = model.conditioning(mels, with_cache=True)
+        raw_cond, _ = model.cond.forward(np.zeros((1, 7, 5)))
         assert raw_cond.shape == (1, 7 * 8, 8)
-        assert cond.shape == (1, 7 * 8 * 10, 8)
+        # tiled, each conditioning step covers 10 band steps: 7 hops of audio
+        assert raw_cond.shape[1] * 10 * cfg.n_bands == 7 * model.hop
 
     def test_output_length_law(self):
         model = tiny_model()
         for frames in (1, 3, 5):
-            cond = model.conditioning(np.zeros((2, frames, 5)))
-            assert cond.shape[1] == frames * 8 * model.cfg.tile_factor
+            cond, _ = model.cond.forward(np.zeros((2, frames, 5)))
+            assert cond.shape[1] == frames * 8
+            assert cond.shape[1] * model.cfg.tile_factor * model.cfg.n_bands == frames * model.hop
 
     def test_constant_input_steady_state(self):
         model = tiny_model(seed=3)
         frame = np.random.default_rng(0).uniform(-10, 0, 5)
         mels = np.tile(frame, (1, 12, 1))
-        _, raw_cond, _ = model.conditioning(mels, with_cache=True)
+        raw_cond, _ = model.cond.forward(mels)
         # interior outputs (past the dilated warm-up, before the lookahead
         # tail) repeat with the frame period of the upsamplers
         assert np.allclose(raw_cond[0, 8 * 8 : 9 * 8], raw_cond[0, 9 * 8 : 10 * 8], atol=1e-12)
@@ -58,7 +59,7 @@ class TestConditioning:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError):
-            tiny_model().conditioning(np.zeros((1, 0, 5)))
+            tiny_model().cond.forward(np.zeros((1, 0, 5)))
 
 
 class TestTeacherForced:
@@ -83,17 +84,21 @@ class TestTeacherForced:
         assert double["loss"] == pytest.approx(single["loss"], rel=1e-12)
 
     @pytest.mark.parametrize(
-        "nu,regularizer,gamma0,blocks",
+        "nu,regularizer,gamma0,blocks,frame_rate",
         [
-            (0.0, "log", 0.0, 1),
-            (0.05, "log", 0.0, 1),
-            (0.05, "linear", 0.0, 1),
-            (0.05, "log", 0.3, 1),
-            (0.05, "log", 0.0, 2),
+            pytest.param(0.0, "log", 0.0, 1, 25, id="0.0-log-0.0-1"),
+            pytest.param(0.05, "log", 0.0, 1, 25, id="0.05-log-0.0-1"),
+            pytest.param(0.05, "linear", 0.0, 1, 25, id="0.05-linear-0.0-1"),
+            pytest.param(0.05, "log", 0.3, 1, 25, id="0.05-log-0.3-1"),
+            pytest.param(0.05, "log", 0.0, 2, 25, id="0.05-log-0.0-2"),
+            # tile 5 over 8 steps: one whole conditioning frame, a partial
+            # one, and frames past the audio that get no gradient
+            pytest.param(0.05, "log", 0.0, 1, 5, id="0.05-log-0.0-1-tile5"),
         ],
     )
-    def test_gradient_matches_finite_differences(self, nu, regularizer, gamma0, blocks):
-        model = tiny_model(seed=7, gru_blocks=blocks)
+    def test_gradient_matches_finite_differences(self, nu, regularizer, gamma0, blocks,
+                                                 frame_rate):
+        model = tiny_model(seed=7, gru_blocks=blocks, frame_rate=frame_rate)
         rng = np.random.default_rng(11)
         audio, mels, voicing = tiny_batch(rng, model, batch=1, length=32)
         baseline = mol.BaselineSpec(gamma0) if gamma0 else None
@@ -121,6 +126,27 @@ class TestTeacherForced:
                 p.value[i] = orig
                 numeric[i] = (fp - fm) / (2 * h)
             assert fd_rel_error(p.grad, numeric) <= 1e-4, p.name
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_reused_buffers_leave_no_trace(self, blocks):
+        # the GRU keeps its sequence buffers while the shape stays; a call
+        # of another length in between must not change the next call's bits
+        model = tiny_model(seed=31, gru_blocks=blocks)
+        rng = np.random.default_rng(32)
+        batch_a = tiny_batch(rng, model, batch=2, length=48)
+        batch_b = tiny_batch(rng, model, batch=2, length=40)
+
+        def run(audio, mels, voicing):
+            model.zero_grads()
+            res = model.teacher_forced(audio, mels, nu=0.01, voicing=voicing)
+            return res["loss"], [p.grad.copy() for p in model.parameters()]
+
+        loss, grads = run(*batch_a)
+        run(*batch_b)
+        loss_again, grads_again = run(*batch_a)
+        assert loss_again == loss
+        for p, g, g_again in zip(model.parameters(), grads, grads_again):
+            assert np.array_equal(g_again, g), p.name
 
     def test_logged_jvar_is_the_regularizer_of_the_same_params(self):
         # with unit voicing weights the logged J_var term equals the log-form
@@ -183,7 +209,7 @@ def reference_generate(model, mels, rng, seconds):
     GRU sequence, constrain, a draw from the constrained mixture, clamp."""
     cfg = model.cfg
     steps = int(seconds * cfg.sample_rate) // cfg.n_bands
-    cond = model.conditioning(np.asarray(mels)[None])[0]
+    cond = np.repeat(model.cond.forward(np.asarray(mels)[None])[0][0], cfg.tile_factor, axis=0)
     h = np.zeros((1, cfg.gru_state))
     bands = np.zeros((cfg.n_bands, steps + 1))  # column t holds the samples fed to step t
     for t in range(steps):

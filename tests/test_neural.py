@@ -180,6 +180,23 @@ class TestGRU:
             assert np.allclose(p.grad, reblock(g, 4) if p.value.ndim == 3 else g,
                                rtol=0.0, atol=1e-12)
 
+    def test_sequence_buffers_are_reused_and_caches_checked(self):
+        rng = np.random.default_rng(16)
+        cell = neural.GRUCell(8, 8, rng, blocks=2)
+        xs, h0, c = rand(rng, 3, 5, 8), rand(rng, 3, 8), rand(rng, 3, 5, 8)
+        first, stale = cell.forward_sequence(xs, h0)
+        second, cache = cell.forward_sequence(xs + 1.0, h0)
+        assert np.shares_memory(first, second)
+        with pytest.raises(ValueError):
+            cell.backward_sequence(c, stale)  # the second call overwrote its buffers
+        dxs_a, _ = cell.backward_sequence(c, cache)
+        with pytest.raises(ValueError):
+            cell.backward_sequence(c, cache)  # backward used it up
+        dxs_b, _ = cell.backward_sequence(c, cell.forward_sequence(xs, h0)[1])
+        assert np.shares_memory(dxs_a, dxs_b)
+        other, _ = cell.forward_sequence(rand(rng, 3, 6, 8), h0)
+        assert not np.shares_memory(other, second)
+
     def test_input_gates_split_over_summands(self):
         # the decoder adds the gates of the conditioning and of the previous
         # samples separately; U is linear, so only the bias must come once
