@@ -93,6 +93,8 @@ def cmd_decode(args) -> int:
     with open(args.input, "rb") as fh:
         blob = fh.read()
     frames = q.decode(blob, qmodel)
+    if frames.shape[1] != cfg.model.n_mels:  # the digest binds the config, not the arrays
+        raise FormatError(f"quantizer gives {frames.shape[1]} mels, model takes {cfg.model.n_mels}")
     model = CodecModel(cfg.model, seed=cfg.train.seed)
     model.load_checkpoint(args.model, expected_digest=digest)
     n_samples = len(frames) * cfg.features.hop_length

@@ -16,6 +16,7 @@ a crash or a failed write never leaves a torn artifact behind.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -79,18 +80,25 @@ def unpack_container(
             shape = struct.unpack_from(f"<{ndim}I", blob, offset)
             offset += 4 * ndim
             dtype = np.dtype(_DTYPES[code])
-            nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+            nbytes = dtype.itemsize * math.prod(shape)  # exact: a wrapped product could pass
             if offset + nbytes > len(blob):
                 raise FormatError(f"entry {name!r} truncated")
             arrays[name] = np.frombuffer(
                 blob[offset : offset + nbytes], dtype=dtype
             ).reshape(shape)
             offset += nbytes
-    except (struct.error, KeyError, UnicodeDecodeError) as exc:
+    except (struct.error, KeyError, ValueError) as exc:  # ValueError: not utf-8, too big a shape
         raise FormatError("container corrupted") from exc
     if offset != len(blob):
         raise FormatError(f"{len(blob) - offset} bytes after the last entry")
     return digest, arrays
+
+
+def entry(arrays: dict[str, np.ndarray], name: str, min_size: int = 0) -> np.ndarray:
+    """arrays[name]; FormatError if it is missing or holds fewer than min_size values."""
+    if name not in arrays or arrays[name].size < min_size:
+        raise FormatError(f"entry {name!r} is missing or holds fewer than {min_size} values")
+    return arrays[name]
 
 
 def write_file_atomic(path, data: bytes) -> None:

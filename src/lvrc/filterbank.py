@@ -12,7 +12,7 @@ taps - 1 samples and is exposed so callers can align.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +28,6 @@ KAISER_BETA = 9.0
 class FilterbankSpec:
     n_bands: int = 4
     prototype_taps: int = DEFAULT_TAPS
-    kaiser_beta: float = KAISER_BETA
 
     def validate(self) -> None:
         if self.n_bands < 2:
@@ -137,7 +136,7 @@ def design_prototype(spec: FilterbankSpec) -> np.ndarray:
     would cross at -6 dB and leave a large distortion ripple.
     """
     spec.validate()
-    proto = _unscaled_prototype(spec.prototype_taps, spec.n_bands, spec.kaiser_beta)
+    proto = _unscaled_prototype(spec.prototype_taps, spec.n_bands, KAISER_BETA)
     return proto * spec.dc_sum_target / proto.sum()
 
 
@@ -173,32 +172,28 @@ def _unscaled_prototype(taps: int, n_bands: int, beta: float) -> np.ndarray:
 
 @dataclass
 class BandSignals:
-    """Equal-length critically sampled band sequences, shape (n_bands, M)."""
+    """Equal-length critically sampled band sequences, shape (..., n_bands, M)."""
 
     bands: np.ndarray
     band_rate: float
 
-    @property
-    def n_bands(self) -> int:
-        return self.bands.shape[0]
-
 
 class Filterbank:
-    """Analysis/synthesis pair built from one prototype."""
+    """Analysis/synthesis pair built from one prototype.
+
+    `filters` holds the synthesis filters, one row per band; the analysis
+    filters are those rows time-reversed. Both directions run on the taps/N
+    polyphase blocks F_q = filters[:, qN:(q+1)N], so analysis computes only
+    the outputs it keeps and synthesis never zero-stuffs.
+    """
 
     def __init__(self, spec: FilterbankSpec | None = None):
         self.spec = spec or FilterbankSpec()
         self.prototype = design_prototype(self.spec)
         taps = self.spec.prototype_taps
-        n_bands = self.spec.n_bands
-        n = np.arange(taps)
-        phase = (n - (taps - 1) / 2.0) * np.pi / (2 * n_bands)
-        self.analysis_filters = np.zeros((n_bands, taps))
-        self.synthesis_filters = np.zeros((n_bands, taps))
-        for k in range(n_bands):
-            quadrant = (-1.0) ** k * np.pi / 4.0
-            self.analysis_filters[k] = 2.0 * self.prototype * np.cos((2 * k + 1) * phase + quadrant)
-            self.synthesis_filters[k] = 2.0 * self.prototype * np.cos((2 * k + 1) * phase - quadrant)
+        k = np.arange(self.spec.n_bands)[:, None]
+        phase = (np.arange(taps) - (taps - 1) / 2.0) * np.pi / (2 * self.spec.n_bands)
+        self.filters = 2.0 * self.prototype * np.cos((2 * k + 1) * phase - (-1.0) ** k * np.pi / 4.0)
 
     @property
     def group_delay(self) -> int:
@@ -206,23 +201,24 @@ class Filterbank:
         return self.spec.prototype_taps - 1
 
     def analyze(self, samples: np.ndarray, sample_rate: float = 0.0) -> BandSignals:
-        """Split into critically sampled bands.
+        """Split (..., L) samples into (..., n_bands, M) critically sampled bands.
 
-        The input is zero-padded to a multiple of n_bands plus one filter
-        length so the tail is fully represented; bands have
-        (ceil(L/N)*N + taps)/N samples each.
+        M = ceil(L/N) + taps/N, so the tail is fully represented. Each row
+        of a batch gets the same bands as when it is analyzed alone.
         """
         samples = np.asarray(samples, dtype=np.float64)
-        n_bands = self.spec.n_bands
-        taps = self.spec.prototype_taps
-        length = len(samples)
-        padded_len = ((length + n_bands - 1) // n_bands) * n_bands
-        padded = np.concatenate([samples, np.zeros(padded_len - length + taps)])
-        m = (padded_len + taps) // n_bands
-        bands = np.stack(
-            [np.convolve(padded, self.analysis_filters[k])[: m * n_bands : n_bands] for k in range(n_bands)]
-        )
-        return BandSignals(bands, band_rate=sample_rate / n_bands if sample_rate else 0.0)
+        n_bands, taps = self.spec.n_bands, self.spec.prototype_taps
+        n_blocks = taps // n_bands
+        lead, length = samples.shape[:-1], samples.shape[-1]
+        m = (length + n_bands - 1) // n_bands + n_blocks
+        padded = np.zeros(lead + ((m + n_blocks - 1) * n_bands,))
+        padded[..., taps - 1 : taps - 1 + length] = samples
+        blocks = padded.reshape(lead + (-1, n_bands))
+        bands = blocks[..., :m, :] @ self.filters[:, :n_bands].T
+        for q in range(1, n_blocks):
+            bands += blocks[..., q : q + m, :] @ self.filters[:, q * n_bands : (q + 1) * n_bands].T
+        return BandSignals(np.swapaxes(bands, -1, -2),
+                           band_rate=sample_rate / n_bands if sample_rate else 0.0)
 
     def synthesize(self, bands: BandSignals | np.ndarray) -> np.ndarray:
         """Recombine bands; returns the full convolution (length M*N + taps - 1).
@@ -230,16 +226,14 @@ class Filterbank:
         synthesize(analyze(x)) reproduces x delayed by group_delay samples.
         """
         arr = bands.bands if isinstance(bands, BandSignals) else np.asarray(bands, dtype=np.float64)
-        n_bands = self.spec.n_bands
+        n_bands, taps = self.spec.n_bands, self.spec.prototype_taps
         if arr.shape[0] != n_bands:
             raise ConfigError(f"expected {n_bands} bands, got {arr.shape[0]}")
         m = arr.shape[1]
-        out = np.zeros(m * n_bands + self.spec.prototype_taps - 1)
-        for k in range(n_bands):
-            upsampled = np.zeros(m * n_bands)
-            upsampled[::n_bands] = arr[k]
-            out += np.convolve(upsampled, self.synthesis_filters[k])
-        return out
+        out = np.zeros((m + taps // n_bands, n_bands))
+        for q in range(taps // n_bands):
+            out[q : q + m] += arr.T @ self.filters[:, q * n_bands : (q + 1) * n_bands]
+        return out.ravel()[: m * n_bands + taps - 1]
 
     def round_trip(self, samples: np.ndarray) -> np.ndarray:
         """Analysis + synthesis, delay-compensated to align with the input."""

@@ -24,8 +24,8 @@ import numpy as np
 from . import mol
 from .audio import AudioBuffer
 from .config import ModelConfig
-from .container import read_container, write_container
-from .errors import ConfigError, NumericError
+from .container import entry, read_container, write_container
+from .errors import ConfigError, FormatError, NumericError
 from .filterbank import Filterbank, FilterbankSpec
 from .neural import (
     GRUCell,
@@ -172,25 +172,18 @@ class CodecModel:
     def load_checkpoint(self, path, expected_digest: bytes | None = None):
         digest, arrays = read_container(path, CHECKPOINT_MAGIC, expected_digest)
         for p in self.parameters():
-            key = f"param/{p.name}"
-            if key not in arrays:
-                raise ConfigError(f"checkpoint is missing parameter {p.name}")
-            if arrays[key].shape != p.value.shape:
-                raise ConfigError(f"checkpoint shape mismatch for {p.name}")
-            p.value = arrays[key].astype(self.dtype).copy()
+            value = entry(arrays, f"param/{p.name}")
+            if value.shape != p.value.shape:
+                raise FormatError(f"checkpoint shape mismatch for {p.name}")
+            p.value = value.astype(self.dtype).copy()
             mask_key = f"mask/{p.name}"
             p.mask = arrays[mask_key].astype(self.dtype).copy() if mask_key in arrays else None
-        step = int(arrays["step"][0])
+        step = int(entry(arrays, "step", 1)[0])
+        if step < 0:
+            raise FormatError(f"checkpoint step {step} is negative")
         return step, arrays
 
     # -- forward pieces ------------------------------------------------------
-
-    def band_targets(self, audio: np.ndarray) -> np.ndarray:
-        """Critically sampled band signals for teacher forcing, (B, N, L//N)."""
-        audio = np.atleast_2d(np.asarray(audio, dtype=np.float64))
-        steps = audio.shape[1] // self.cfg.n_bands
-        out = np.stack([self.filterbank.analyze(row).bands[:, :steps] for row in audio])
-        return out.astype(self.dtype)
 
     def _frame_of_step(self, n_steps: int, n_frames: int) -> np.ndarray:
         """Mel frame index containing each GRU step (frames are hop-centered)."""
@@ -216,7 +209,9 @@ class CodecModel:
         mels = np.asarray(mels, dtype=self.dtype)
         if mels.ndim == 2:
             mels = mels[None]
-        bands = self.band_targets(audio)
+        audio = np.atleast_2d(audio)
+        bands = self.filterbank.analyze(audio).bands[..., : audio.shape[-1] // cfg.n_bands]
+        bands = bands.astype(self.dtype)
         batch, n_bands, steps = bands.shape
         if not 1 <= reg_bands <= n_bands:
             raise ConfigError(f"reg_bands must be in 1..{n_bands}, got {reg_bands}")

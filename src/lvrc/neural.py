@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from .container import entry
 from .errors import ConfigError
 
 
@@ -471,7 +472,7 @@ class Adam:
             m_key, v_key = f"adam_m/{p.name}", f"adam_v/{p.name}"
             if m_key in arrays:
                 self.slots[p.name] = (arrays[m_key].astype(p.value.dtype).copy(),
-                                      arrays[v_key].astype(p.value.dtype).copy())
+                                      entry(arrays, v_key).astype(p.value.dtype).copy())
 
 
 @dataclass

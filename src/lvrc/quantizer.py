@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import QuantizerConfig
-from .container import read_container, write_container
+from .container import entry, read_container, write_container
 from .errors import ConfigError, DigestError, FormatError, FramingError
 
 BITSTREAM_MAGIC = b"LVRC"
@@ -243,18 +243,25 @@ class QuantizerModel:
 
     @classmethod
     def load(cls, path, expected_digest: bytes | None = None) -> "QuantizerModel":
+        """Read a saved model; FormatError if an entry is missing or the shapes disagree."""
         digest, arrays = read_container(path, MODEL_MAGIC, expected_digest)
-        meta = arrays["meta"]
-        allocations = arrays["allocations"].astype(np.int64)
-        codebooks = [np.asarray(arrays[f"codebook/{j}"], dtype=np.float64) for j in range(len(allocations))]
-        klt = KLTModel(
-            mean=np.asarray(arrays["mean"], dtype=np.float64),
-            basis=np.asarray(arrays["basis"], dtype=np.float64),
-            eigenvalues=np.asarray(arrays["eigenvalues"], dtype=np.float64),
-            rank_deficient=bool(meta[3]),
-        )
-        vq = SplitVQModel(int(meta[1]), allocations, codebooks)
-        return cls(klt, vq, int(meta[0]), digest, int(meta[2]))
+        stack, split_dim, seed, rank_deficient = (int(v) for v in entry(arrays, "meta", 4)[:4])
+        bits = entry(arrays, "allocations").astype(np.int64)
+        mean, basis, eig = (np.asarray(entry(arrays, key), dtype=np.float64)
+                            for key in ("mean", "basis", "eigenvalues"))
+        codebooks = [np.asarray(entry(arrays, f"codebook/{j}"), dtype=np.float64)
+                     for j in range(len(bits))]
+        dim = mean.size
+        if not (stack >= 1 and split_dim >= 1 and dim % stack == 0
+                and mean.shape == eig.shape == (dim,) and basis.shape == (dim, dim)
+                and bits.shape == ((dim + split_dim - 1) // split_dim,)
+                # bits is bounded before 2**bits is formed
+                and all(0 <= b <= 32 and cb.shape == (2**b if b else 1,
+                                                      min(split_dim, dim - j * split_dim))
+                        for j, (b, cb) in enumerate(zip(bits.tolist(), codebooks)))):
+            raise FormatError("quantizer model entries have inconsistent shapes")
+        klt = KLTModel(mean, basis, eig, bool(rank_deficient))
+        return cls(klt, SplitVQModel(split_dim, bits, codebooks), stack, digest, seed)
 
 
 def fit_quantizer(frames: np.ndarray, cfg: QuantizerConfig, digest: bytes) -> QuantizerModel:
@@ -328,8 +335,8 @@ def unpack_indices(payload: bytes, n_super: int, allocations: np.ndarray) -> np.
     coded = [int(b) for b in allocations if b > 0]
     total_bits = sum(coded)
     needed = n_super * total_bits
-    if len(payload) * 8 < needed:
-        raise FramingError("bitstream payload truncated")
+    if len(payload) != (needed + 7) // 8:
+        raise FramingError(f"bitstream payload of {len(payload)} bytes, expected {(needed + 7) // 8}")
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=needed)
     bits = bits.reshape(n_super, total_bits) if total_bits else bits.reshape(n_super, 0)
     indices = np.zeros((n_super, len(coded)), dtype=np.int64)

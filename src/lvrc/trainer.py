@@ -20,6 +20,7 @@ import numpy as np
 
 from .audio import AudioBuffer, load_wav
 from .config import CodecConfig, TrainConfig
+from .container import entry
 from .errors import ConfigError, NumericError
 from .features import frame_signal, log_mel_features
 from .model import CodecModel
@@ -384,7 +385,7 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
     start_step = 0
     if resume_from is not None:
         start_step, arrays = model.load_checkpoint(resume_from, expected_digest=digest)
-        optimizer.load_state(arrays, params, step_count=int(arrays["adam_step"][0]))
+        optimizer.load_state(arrays, params, step_count=int(entry(arrays, "adam_step", 1)[0]))
 
     schedule = None
     if tc.pruning:

@@ -30,6 +30,13 @@ def make_toy_cfg(nu: float):
     return cfg
 
 
+def pytest_collection_modifyitems(items):
+    """Mark slow every test that needs the paired runs, directly or through a fixture."""
+    for item in items:
+        if "paired_runs" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.slow)
+
+
 @pytest.fixture(scope="session")
 def toy_cfg():
     return toy_config()

@@ -10,6 +10,7 @@ import pytest
 
 import lvrc
 from lvrc import cli
+from lvrc import quantizer as q
 from lvrc.audio import AudioBuffer, load_wav, save_wav
 from lvrc.config import paper_config, toy_config
 from lvrc.model import CodecModel
@@ -193,6 +194,18 @@ class TestDecode:
         rc = cli.main([
             "decode", "--config", str(env["cfg_path"]), "--quantizer", str(env["quant"]),
             "--model", str(env["ckpt"]), str(bad), str(env["root"] / "t.wav"),
+        ])
+        assert rc == 3
+
+    def test_quantizer_of_another_frame_size_exits_3(self, env, bitstream, tmp_path):
+        # stack 4 on the 64-dim basis: consistent in itself, but it decodes 16-mel frames
+        qmodel = q.QuantizerModel.load(env["quant"])
+        qmodel.stack = 4
+        bad = tmp_path / "stack4.lvrq"
+        qmodel.save(bad)
+        rc = cli.main([
+            "decode", "--config", str(env["cfg_path"]), "--quantizer", str(bad),
+            "--model", str(env["ckpt"]), str(bitstream), str(tmp_path / "x.wav"),
         ])
         assert rc == 3
 

@@ -21,10 +21,10 @@ from lvrc.errors import FormatError
 MAGIC, DIGEST = b"TEST", b"\x01" * 8
 
 
-def blob_with(name: bytes) -> bytes:
-    """A one-entry container holding a (2,) float64 array under a raw name."""
+def blob_with(name: bytes, dims: tuple[int, ...] = (2,)) -> bytes:
+    """A one-entry container: two float64 values under a raw name and raw dims."""
     head = MAGIC + struct.pack("<B", 1) + DIGEST + struct.pack("<I", 1)
-    entry = struct.pack("<H", len(name)) + name + struct.pack("<BBI", 0, 1, 2)
+    entry = struct.pack("<H", len(name)) + name + struct.pack(f"<BB{len(dims)}I", 0, len(dims), *dims)
     return head + entry + np.array([1.5, -2.0]).tobytes()
 
 
@@ -40,6 +40,14 @@ def test_round_trip():
 def test_non_utf8_entry_name_rejected():
     with pytest.raises(FormatError):
         unpack_container(blob_with(b"\xff\xfe"), MAGIC)
+
+
+@pytest.mark.parametrize("dims", [(0xFFFFFFFF,) * 4, (0,) + (0xFFFFFFFF,) * 3])
+def test_dims_whose_product_overflows_rejected(dims):
+    # (2**32 - 1)**4 wraps to a negative int64 byte count; the zero-size
+    # entry has a size numpy cannot hold
+    with pytest.raises(FormatError):
+        unpack_container(blob_with(b"w", dims), MAGIC)
 
 
 def test_bytes_after_last_entry_rejected():

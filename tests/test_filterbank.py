@@ -107,6 +107,53 @@ class TestScipyPorts:
         assert np.array_equal(_unscaled_prototype(*setting), _reference_prototype(*setting))
 
 
+def reference_filters(bank):
+    """Analysis and synthesis filters of the cosine-modulated bank, band by band."""
+    taps, n_bands = bank.spec.prototype_taps, bank.spec.n_bands
+    phase = (np.arange(taps) - (taps - 1) / 2.0) * np.pi / (2 * n_bands)
+    analysis, synthesis = [], []
+    for k in range(n_bands):
+        quadrant = (-1.0) ** k * np.pi / 4.0
+        analysis.append(2.0 * bank.prototype * np.cos((2 * k + 1) * phase + quadrant))
+        synthesis.append(2.0 * bank.prototype * np.cos((2 * k + 1) * phase - quadrant))
+    return analysis, synthesis
+
+
+def reference_analyze(bank, x):
+    """Direct form: full-rate convolution with each analysis filter, then keep every Nth output."""
+    n_bands, taps = bank.spec.n_bands, bank.spec.prototype_taps
+    m = (len(x) + n_bands - 1) // n_bands + taps // n_bands
+    padded = np.concatenate([x, np.zeros(m * n_bands - len(x))])
+    return np.stack([np.convolve(padded, h)[: m * n_bands : n_bands] for h in reference_filters(bank)[0]])
+
+
+def reference_synthesize(bank, bands):
+    """Direct form: zero-stuff each band to the full rate, convolve with its filter, sum."""
+    n_bands = bank.spec.n_bands
+    out = 0.0
+    for band, g in zip(bands, reference_filters(bank)[1]):
+        upsampled = np.zeros(len(band) * n_bands)
+        upsampled[::n_bands] = band
+        out = out + np.convolve(upsampled, g)
+    return out
+
+
+@pytest.mark.parametrize("taps,n_bands", [setting[:2] for setting in PRESET_BANKS])
+def test_polyphase_matches_direct_form(taps, n_bands):
+    bank = Filterbank(FilterbankSpec(n_bands=n_bands, prototype_taps=taps))
+    rng = np.random.default_rng(taps)
+    for length in (1, n_bands - 1, 1280, 1283, 16001):
+        x = rng.uniform(-1.0, 1.0, length)
+        bands, expected = bank.analyze(x).bands, reference_analyze(bank, x)
+        assert bands.shape == expected.shape
+        assert np.max(np.abs(bands - expected)) <= 1e-14
+        out, expected = bank.synthesize(bands), reference_synthesize(bank, bands)
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) <= 1e-14
+        rows = rng.uniform(-1.0, 1.0, (3, length))
+        assert np.array_equal(bank.analyze(rows).bands, np.stack([bank.analyze(r).bands for r in rows]))
+
+
 class TestRoundTrip:
     def test_zero_in_zero_out(self, bank):
         bands = bank.analyze(np.zeros(4000))

@@ -5,8 +5,9 @@ import pytest
 
 from lvrc import mol
 from lvrc.config import ModelConfig, toy_config
-from lvrc.errors import ConfigError
-from lvrc.model import CodecModel
+from lvrc.container import read_container, write_container
+from lvrc.errors import ConfigError, FormatError
+from lvrc.model import CHECKPOINT_MAGIC, CodecModel
 from lvrc.neural import GRUCell, dense_forward
 
 from conftest import fd_rel_error, reference_sample
@@ -328,6 +329,20 @@ class TestCheckpoint:
         step, _ = other.load_checkpoint(path, expected_digest=b"\x07" * 8)
         assert step == 123
         assert other.weights_checksum() == model.weights_checksum()
+
+    @pytest.mark.parametrize("step", [None, np.zeros(0, np.int64), np.array([-3])],
+                             ids=["missing", "empty", "negative"])
+    def test_missing_short_or_negative_step_rejected(self, tmp_path, step):
+        model = tiny_model()
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(path, b"\x07" * 8, step=1)
+        digest, arrays = read_container(path, CHECKPOINT_MAGIC)
+        arrays = {k: v for k, v in arrays.items() if k != "step"}
+        if step is not None:
+            arrays["step"] = step
+        write_container(path, CHECKPOINT_MAGIC, digest, arrays)
+        with pytest.raises(FormatError):
+            model.load_checkpoint(path)
 
     def test_digest_mismatch_rejected(self, tmp_path):
         from lvrc.errors import DigestError

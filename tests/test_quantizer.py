@@ -6,6 +6,7 @@ import pytest
 from lvrc import quantizer as q
 from lvrc.audio import AudioBuffer
 from lvrc.config import FeatureConfig, QuantizerConfig, paper_config
+from lvrc.container import read_container, write_container
 from lvrc.errors import ConfigError, DigestError, FormatError, FramingError
 from lvrc.features import log_mel_features
 
@@ -241,6 +242,36 @@ class TestEncodeDecode:
         loaded = q.QuantizerModel.load(p1, expected_digest=b"\x01" * 8)
         assert np.array_equal(loaded.klt.basis, model.klt.basis)
         assert np.array_equal(loaded.vq.allocations, model.vq.allocations)
+
+    @pytest.mark.parametrize("damage", ["no meta", "short meta", "no codebook", "stack 0",
+                                        "split_dim 3", "codebook rows"])
+    def test_missing_or_inconsistent_entries_rejected(self, fitted, tmp_path, damage):
+        _, model = fitted
+        path = tmp_path / "m.lvrq"
+        model.save(path)
+        _, arrays = read_container(path, q.MODEL_MAGIC)
+        arrays = dict(arrays)
+        meta = arrays["meta"].copy()
+        if damage == "no meta":
+            del arrays["meta"]
+        elif damage == "short meta":
+            arrays["meta"] = meta[:3]
+        elif damage == "no codebook":
+            del arrays["codebook/1"]
+        elif damage == "codebook rows":
+            arrays["codebook/0"] = arrays["codebook/0"][:-1]
+        else:
+            meta[0 if damage == "stack 0" else 1] = int(damage.split()[1])
+            arrays["meta"] = meta
+        write_container(path, q.MODEL_MAGIC, model.digest, arrays)
+        with pytest.raises(FormatError):
+            q.QuantizerModel.load(path)
+
+    def test_trailing_payload_bytes_rejected(self, fitted):
+        frames, model = fitted
+        blob = q.encode(frames[:10], model)
+        with pytest.raises(FramingError):
+            q.decode(blob + b"\x00\x01\x02", model)
 
     def test_distortion_decreases_with_bits(self):
         # 32-mel features, stacked pairs: 64-dim supervectors, 32 splits

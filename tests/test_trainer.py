@@ -189,6 +189,21 @@ class TestTrainingLoop:
             learning_rate(tc, t) for t in range(1, 200)
         ]
 
+    @pytest.mark.parametrize("dropped", ["adam_step", "adam_v/out.w"])
+    def test_resume_without_optimizer_state_rejected(self, tmp_path, dropped):
+        from lvrc.container import read_container, write_container
+        from lvrc.errors import FormatError
+        from lvrc.model import CHECKPOINT_MAGIC
+
+        cfg = short_cfg(steps=2, checkpoint_interval=2)
+        dataset = ClipDataset.synthetic(cfg, n_clips=4)
+        path = train(cfg, tmp_path / "run", dataset=dataset).checkpoint_path
+        digest, arrays = read_container(path, CHECKPOINT_MAGIC)
+        write_container(path, CHECKPOINT_MAGIC, digest,
+                        {k: v for k, v in arrays.items() if k != dropped})
+        with pytest.raises(FormatError):
+            train(cfg, tmp_path / "resumed", dataset=dataset, resume_from=path)
+
     def test_checkpoint_binds_to_config(self, tmp_path):
         from lvrc.errors import DigestError
 
