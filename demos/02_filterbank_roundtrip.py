@@ -31,7 +31,7 @@ print("\n== band selectivity ==")
 for freq in (100, 2500, 5000, 7500):
     t = np.arange(16000)
     x = np.sin(2 * np.pi * freq * t / 16000)
-    bands = bank.analyze(x).bands
+    bands = bank.analyze(x)
     energy = (bands**2).sum(axis=1)
     dominant = int(np.argmax(energy))
     print(f"{freq:5d} Hz sine -> band {dominant} holds {energy[dominant] / energy.sum():.1%}")

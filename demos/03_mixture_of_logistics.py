@@ -13,11 +13,10 @@ from lvrc import mol
 rng = np.random.default_rng(7)
 
 print("== a 4-component mixture ==")
-raw = mol.RawMoLParams(
-    logits=np.array([1.0, 0.3, -0.5, -1.0]),
-    locs=np.array([-0.6, -0.1, 0.2, 0.9]),
-    log_scales=np.array([-2.0, -1.5, -1.0, -0.5]),
-)
+# one flat output row: 4 weight logits, 4 locations, 4 log scales
+raw = np.array([1.0, 0.3, -0.5, -1.0,
+                -0.6, -0.1, 0.2, 0.9,
+                -2.0, -1.5, -1.0, -0.5])
 params = mol.constrain(raw)
 print("weights:", np.round(params.gammas, 4))
 print("mean:   ", round(float(mol.mixture_mean(params)), 6))

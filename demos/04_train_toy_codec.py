@@ -61,7 +61,7 @@ from lvrc.filterbank import Filterbank, FilterbankSpec
 
 decoded = load_wav(work / "decoded.wav")
 bank = Filterbank(FilterbankSpec(cfg.model.n_bands, cfg.model.fb_taps))
-band0 = bank.analyze(decoded.samples).bands[0]
+band0 = bank.analyze(decoded.samples)[0]
 spectrum = np.abs(np.fft.rfft(band0 * np.hanning(len(band0))))
 peak = np.argmax(spectrum) * (sr / cfg.model.n_bands) / len(band0)
 print(f"decoded band-0 spectral peak: {peak:.0f} Hz (conditioning tone 220 Hz)")

@@ -170,14 +170,6 @@ def _unscaled_prototype(taps: int, n_bands: int, beta: float) -> np.ndarray:
     return proto
 
 
-@dataclass
-class BandSignals:
-    """Equal-length critically sampled band sequences, shape (..., n_bands, M)."""
-
-    bands: np.ndarray
-    band_rate: float
-
-
 class Filterbank:
     """Analysis/synthesis pair built from one prototype.
 
@@ -200,7 +192,7 @@ class Filterbank:
         """Total analysis+synthesis delay in samples."""
         return self.spec.prototype_taps - 1
 
-    def analyze(self, samples: np.ndarray, sample_rate: float = 0.0) -> BandSignals:
+    def analyze(self, samples: np.ndarray) -> np.ndarray:
         """Split (..., L) samples into (..., n_bands, M) critically sampled bands.
 
         M = ceil(L/N) + taps/N, so the tail is fully represented. Each row
@@ -217,15 +209,14 @@ class Filterbank:
         bands = blocks[..., :m, :] @ self.filters[:, :n_bands].T
         for q in range(1, n_blocks):
             bands += blocks[..., q : q + m, :] @ self.filters[:, q * n_bands : (q + 1) * n_bands].T
-        return BandSignals(np.swapaxes(bands, -1, -2),
-                           band_rate=sample_rate / n_bands if sample_rate else 0.0)
+        return np.swapaxes(bands, -1, -2)
 
-    def synthesize(self, bands: BandSignals | np.ndarray) -> np.ndarray:
+    def synthesize(self, bands: np.ndarray) -> np.ndarray:
         """Recombine bands; returns the full convolution (length M*N + taps - 1).
 
         synthesize(analyze(x)) reproduces x delayed by group_delay samples.
         """
-        arr = bands.bands if isinstance(bands, BandSignals) else np.asarray(bands, dtype=np.float64)
+        arr = np.asarray(bands, dtype=np.float64)
         n_bands, taps = self.spec.n_bands, self.spec.prototype_taps
         if arr.shape[0] != n_bands:
             raise ConfigError(f"expected {n_bands} bands, got {arr.shape[0]}")

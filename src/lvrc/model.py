@@ -210,7 +210,7 @@ class CodecModel:
         if mels.ndim == 2:
             mels = mels[None]
         audio = np.atleast_2d(audio)
-        bands = self.filterbank.analyze(audio).bands[..., : audio.shape[-1] // cfg.n_bands]
+        bands = self.filterbank.analyze(audio)[..., : audio.shape[-1] // cfg.n_bands]
         bands = bands.astype(self.dtype)
         batch, n_bands, steps = bands.shape
         if not 1 <= reg_bands <= n_bands:
@@ -234,12 +234,9 @@ class CodecModel:
         if not compute_grads:
             self.gru.release()  # no backward follows, so the buffers go back now
         flat = dense_forward(hs, self.out_w.value, self.out_b.value)
-        raw = mol.RawMoLParams.from_flat(
-            flat.reshape(batch, steps, n_bands, 3 * cfg.n_mix), cfg.n_mix
-        )
-
-        terms = mol.head_terms(bands.transpose(0, 2, 1), raw, reg_bands, var_floor,
-                               regularizer, baseline)
+        terms = mol.head_terms(bands.transpose(0, 2, 1),
+                               flat.reshape(batch, steps, n_bands, 3 * cfg.n_mix),
+                               reg_bands, var_floor, regularizer, baseline, compute_grads)
         neg_ll = float(terms.nll.mean())
         loss = neg_ll
         sigma_all = np.sqrt(np.maximum(terms.var, 0.0))
@@ -272,21 +269,12 @@ class CodecModel:
         if not compute_grads:
             return result
 
-        scale_nll = 1.0 / terms.nll.size
-        d_raw = np.zeros_like(flat).reshape(batch, steps, n_bands, 3 * cfg.n_mix)
-        k = cfg.n_mix
-        d_raw[..., :k] = terms.d_nll.logits * scale_nll
-        d_raw[..., k : 2 * k] = terms.d_nll.locs * scale_nll
-        d_raw[..., 2 * k :] = terms.d_nll.log_scales * scale_nll
+        d_raw = (terms.d_nll * (1.0 / terms.nll.size)).astype(self.dtype, copy=False)
         if nu != 0.0:
-            scale_reg = nu / terms.reg.size
-            wr = (weights[..., None, None] * scale_reg).astype(self.dtype)
-            d_raw[:, :, :reg_bands, :k] += wr * terms.d_reg.logits
-            d_raw[:, :, :reg_bands, k : 2 * k] += wr * terms.d_reg.locs
-            d_raw[:, :, :reg_bands, 2 * k :] += wr * terms.d_reg.log_scales
+            wr = (weights[..., None, None] * (nu / terms.reg.size)).astype(self.dtype)
+            d_raw[:, :, :reg_bands] += wr * terms.d_reg
 
-        d_flat = d_raw.reshape(batch, steps, n_bands * 3 * k)
-        d_hs, dw, db = dense_backward(hs, self.out_w.value, d_flat)
+        d_hs, dw, db = dense_backward(hs, self.out_w.value, d_raw.reshape(flat.shape))
         self.out_w.grad += dw
         self.out_b.grad += db
         d_xs, _ = self.gru.backward_sequence(d_hs, gru_cache)

@@ -2,10 +2,15 @@
 
 Parameterization, stable log-likelihood, sampling, closed-form mixture
 variance, the two predictive-variance regularizers (linear and log) and
-the broad-baseline mixture variant. `head_terms` is the training head's
-one forward/backward: it constrains the raw output once and returns the
-NLL, the mixture variance and the regularizer with their exact gradients
-w.r.t. the unconstrained parameters.
+the broad-baseline mixture variant.
+
+The unconstrained form is the output layer's flat (..., 3K) row: K weight
+logits, K locations and K log scales. `constrain`, `sample`,
+`scale_active` and `baseline_log_prob` read such rows, and gradients
+w.r.t. them come back in the same (..., 3K) layout. `head_terms` is the
+training head's one forward/backward: it constrains the rows once and
+returns the NLL, the mixture variance and the regularizer, with their
+exact gradients unless asked for none.
 
 All functions are vectorized: parameter arrays carry the mixture axis
 last, and an arbitrary batch shape in front.
@@ -40,26 +45,6 @@ class MoLParams:
 
 
 @dataclass
-class RawMoLParams:
-    """Unconstrained parameters: weight logits, locations, log scales."""
-
-    logits: np.ndarray
-    locs: np.ndarray
-    log_scales: np.ndarray
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, n_mix: int) -> "RawMoLParams":
-        """Split a (..., 3K) projection output into (logits, locs, log_scales)."""
-        if flat.shape[-1] != 3 * n_mix:
-            raise ValueError(f"expected trailing dim {3 * n_mix}, got {flat.shape[-1]}")
-        return cls(
-            logits=flat[..., :n_mix],
-            locs=flat[..., n_mix : 2 * n_mix],
-            log_scales=flat[..., 2 * n_mix :],
-        )
-
-
-@dataclass
 class BaselineSpec:
     """Designer-set broad component mixed in during training only."""
 
@@ -84,19 +69,26 @@ def softmax(x, axis=-1):
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def constrain(raw: RawMoLParams) -> MoLParams:
-    """Map unconstrained parameters to valid mixture parameters.
+def _n_mix(flat) -> int:
+    width = flat.shape[-1]
+    if width == 0 or width % 3:
+        raise ValueError(f"expected a trailing dim of 3K, got {width}")
+    return width // 3
 
-    Weights via softmax, scales via exp clamped to [S_MIN, S_MAX],
-    locations passed through.
+
+def constrain(flat: np.ndarray) -> MoLParams:
+    """Map flat (..., 3K) rows to valid mixture parameters.
+
+    Weights via softmax of the logits, scales via exp of the log scales
+    clamped to [S_MIN, S_MAX], locations passed through.
     """
-    for arr in (raw.logits, raw.locs, raw.log_scales):
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("raw mixture parameters must be finite")
+    k = _n_mix(flat)
+    if not np.isfinite(flat).all():
+        raise NumericError("raw mixture parameters must be finite")
     return MoLParams(
-        gammas=softmax(raw.logits),
-        mus=np.asarray(raw.locs, dtype=np.float64).copy(),
-        scales=np.clip(np.exp(raw.log_scales), S_MIN, S_MAX),
+        gammas=softmax(flat[..., :k]),
+        mus=np.asarray(flat[..., k : 2 * k], dtype=np.float64).copy(),
+        scales=np.clip(np.exp(flat[..., 2 * k :]), S_MIN, S_MAX),
     )
 
 
@@ -110,11 +102,17 @@ def _log_weighted_pdfs(x, p: MoLParams):
     return np.log(p.gammas) + logistic_log_pdf(x, p.mus, p.scales)
 
 
+def _logsumexp(w):
+    """log sum exp over the mixture axis, with the shifted exponentials and their sum."""
+    m = np.max(w, axis=-1, keepdims=True)
+    e = np.exp(w - m)
+    denom = np.sum(e, axis=-1, keepdims=True)
+    return m[..., 0] + np.log(denom[..., 0]), e, denom
+
+
 def log_prob(x, p: MoLParams):
     """log sum_k gamma_k * logistic(x; mu_k, s_k), via log-sum-exp."""
-    w = _log_weighted_pdfs(x, p)
-    m = np.max(w, axis=-1)
-    return m + np.log(np.sum(np.exp(w - m[..., None]), axis=-1))
+    return _logsumexp(_log_weighted_pdfs(x, p))[0]
 
 
 def sample_noise(rng: np.random.Generator, calls: int, batch: int) -> np.ndarray:
@@ -135,8 +133,8 @@ def sample_noise(rng: np.random.Generator, calls: int, batch: int) -> np.ndarray
 def sample(flat: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Draws from mixtures given as flat (..., 3K) output-layer rows.
 
-    Each row holds K weight logits, K locations and K log scales, as in
-    `RawMoLParams.from_flat`. `noise` is one call's (2, ...) slice of
+    Each row holds K weight logits, K locations and K log scales, the
+    layout `constrain` reads. `noise` is one call's (2, ...) slice of
     `sample_noise`; there is one draw per column of it, and the rows
     broadcast against the columns (one row serves them all). The component
     k is the first whose cumulative softmax weight exceeds the uniform,
@@ -177,25 +175,36 @@ def mixture_variance(p: MoLParams):
     return second - mixture_mean(p) ** 2
 
 
-def jvar_linear(p: MoLParams) -> float:
-    """Mean predictive variance over the batch."""
+def reg_term(var, a: float, regularizer: str):
+    """Per-element regularizer of the mixture variance: 'linear' is sigma_q^2,
+    'log' is ln(sigma_q + a)."""
+    if regularizer == "linear":
+        return var
+    if regularizer == "log":
+        return np.log(np.sqrt(np.maximum(var, 0.0)) + a)
+    raise ConfigError(f"unknown regularizer {regularizer!r}")
+
+
+def _jvar(p: MoLParams, a: float, regularizer: str) -> float:
     var = np.asarray(mixture_variance(p))
     if var.size == 0:
         raise ValueError("empty batch")
-    return float(np.mean(var))
+    return float(np.mean(reg_term(var, a, regularizer)))
+
+
+def jvar_linear(p: MoLParams) -> float:
+    """Mean predictive variance over the batch."""
+    return _jvar(p, 0.0, "linear")
 
 
 def jvar_log(p: MoLParams, a: float) -> float:
     """Mean of ln(sigma_q + a) over the batch; a provides the floor."""
     if a <= 0:
         raise ConfigError("floor a must be positive")
-    var = np.asarray(mixture_variance(p))
-    if var.size == 0:
-        raise ValueError("empty batch")
-    return float(np.mean(np.log(np.sqrt(np.maximum(var, 0.0)) + a)))
+    return _jvar(p, a, "log")
 
 
-def baseline_log_prob(x, raw: RawMoLParams, spec: BaselineSpec, mode: str):
+def baseline_log_prob(x, flat: np.ndarray, spec: BaselineSpec, mode: str):
     """Log density of the mixture augmented with a fixed broad component.
 
     Train mode evaluates gamma0 * q0 + (1 - gamma0) * sum_k gamma_k q_k,
@@ -206,7 +215,7 @@ def baseline_log_prob(x, raw: RawMoLParams, spec: BaselineSpec, mode: str):
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    main = log_prob(x, constrain(raw))
+    main = log_prob(x, constrain(flat))
     if mode == "infer":
         return main
     return _with_baseline(x, main, spec)
@@ -220,97 +229,92 @@ def _with_baseline(x, main, spec: BaselineSpec):
     return np.logaddexp(log_g0 + base_log_pdf, np.log1p(-spec.gamma0) + main)
 
 
-def scale_active(raw: RawMoLParams) -> np.ndarray:
+def scale_active(flat: np.ndarray) -> np.ndarray:
     """Clamp mask: 1 where the exp link of a scale is inside [S_MIN, S_MAX], else 0."""
-    s_raw = np.exp(np.asarray(raw.log_scales, dtype=np.float64))
+    s_raw = np.exp(np.asarray(flat[..., 2 * _n_mix(flat) :], dtype=np.float64))
     return ((s_raw > S_MIN) & (s_raw < S_MAX)).astype(np.float64)
 
 
 def nll_grad(x, p: MoLParams, active: np.ndarray):
-    """Negative log-likelihood and its exact gradient w.r.t. raw parameters.
+    """Negative log-likelihood and its exact gradient w.r.t. the flat rows.
 
     `p` is the constrained mixture and `active` its clamp mask. Returns
-    (nll, d_logits, d_locs, d_log_scales), each with the batch shape of x
-    (gradients carry the trailing mixture axis).
+    (nll, d): nll has the batch shape of x, and d the (..., 3K) layout.
     """
-    w = _log_weighted_pdfs(x, p)
-    m = np.max(w, axis=-1, keepdims=True)
-    e = np.exp(w - m)
-    denom = np.sum(e, axis=-1, keepdims=True)
-    nll = -(m[..., 0] + np.log(denom[..., 0]))
+    lse, e, denom = _logsumexp(_log_weighted_pdfs(x, p))
     resp = e / denom
 
     z = (np.asarray(x, dtype=np.float64)[..., None] - p.mus) / p.scales
     th = np.tanh(0.5 * z)
 
-    d_logits = p.gammas - resp
-    d_locs = -resp * th / p.scales
-    d_log_scales = -resp * (z * th - 1.0) * active
-    return nll, d_logits, d_locs, d_log_scales
+    return -lse, np.concatenate([p.gammas - resp, -resp * th / p.scales,
+                                 -resp * (z * th - 1.0) * active], axis=-1)
 
 
 def variance_grad(p: MoLParams, active: np.ndarray):
-    """Mixture variance and its gradient w.r.t. raw parameters."""
+    """Mixture variance and its gradient w.r.t. the flat rows."""
     mean = mixture_mean(p)
     var = mixture_variance(p)
     centered = p.mus - mean[..., None]
 
-    d_logits = p.gammas * (p.scales**2 * _PI2_3 + centered**2 - var[..., None])
-    d_locs = 2.0 * p.gammas * centered
-    d_log_scales = 2.0 * _PI2_3 * p.gammas * p.scales**2 * active
-    return var, d_logits, d_locs, d_log_scales
+    return var, np.concatenate([
+        p.gammas * (p.scales**2 * _PI2_3 + centered**2 - var[..., None]),
+        2.0 * p.gammas * centered,
+        2.0 * _PI2_3 * p.gammas * p.scales**2 * active,
+    ], axis=-1)
 
 
 def reg_grad(p: MoLParams, active: np.ndarray, a: float, regularizer: str):
-    """Per-element regularization term and gradient w.r.t. raw parameters.
-
-    'linear' is sigma_q^2; 'log' is ln(sigma_q + a).
-    """
-    var, dl, dm, ds = variance_grad(p, active)
-    if regularizer == "linear":
-        return var, dl, dm, ds
+    """Per-element `reg_term` and its gradient w.r.t. the flat rows."""
+    var, d = variance_grad(p, active)
+    term = reg_term(var, a, regularizer)
     if regularizer == "log":
         sigma = np.sqrt(np.maximum(var, 0.0))
-        term = np.log(sigma + a)
-        scale = (1.0 / (2.0 * sigma * (sigma + a)))[..., None]
-        return term, scale * dl, scale * dm, scale * ds
-    raise ConfigError(f"unknown regularizer {regularizer!r}")
+        d *= (1.0 / (2.0 * sigma * (sigma + a)))[..., None]
+    return term, d
 
 
 @dataclass
 class HeadTerms:
     """Per-element terms of the teacher-forced objective.
 
-    Gradients are w.r.t. the raw parameters and are held in RawMoLParams.
+    Gradients are w.r.t. the flat rows, in their (..., 3K) layout, and
+    are None when the head was asked for none.
     """
 
     nll: np.ndarray  # (..., N)
-    d_nll: RawMoLParams  # (..., N, K)
     var: np.ndarray  # (..., N) mixture variance on every band
     reg: np.ndarray  # (..., reg_bands)
-    d_reg: RawMoLParams  # (..., reg_bands, K)
+    d_nll: np.ndarray | None = None  # (..., N, 3K)
+    d_reg: np.ndarray | None = None  # (..., reg_bands, 3K)
 
 
-def head_terms(x, raw: RawMoLParams, reg_bands: int, a: float = 1e-4,
-               regularizer: str = "log", baseline: BaselineSpec | None = None) -> HeadTerms:
-    """NLL, mixture variance and regularizer with their gradients, from one constrain.
+def head_terms(x, flat: np.ndarray, reg_bands: int, a: float = 1e-4,
+               regularizer: str = "log", baseline: BaselineSpec | None = None,
+               grads: bool = True) -> HeadTerms:
+    """NLL, mixture variance and regularizer, and their gradients, from one constrain.
 
-    x has shape (..., N) with one target per band; raw carries the mixture
-    axis after it. The regularizer covers the first `reg_bands` bands.
+    x has shape (..., N) with one target per band; flat carries the (3K)
+    row axis after it. The regularizer covers the first `reg_bands` bands.
     With a baseline of gamma0 > 0 the NLL is that of the train-mode
     density, and its gradient is the plain mixture's scaled by
     (1 - gamma0) q(x) / q_train(x), the learned components' share of it.
+    Without `grads` the same terms come from the same expressions, and no
+    gradient is computed.
     """
-    p = constrain(raw)
-    active = scale_active(raw)
-    nll, dl, dm, ds = nll_grad(x, p, active)
+    p = constrain(flat)
+    low = MoLParams(p.gammas[..., :reg_bands, :], p.mus[..., :reg_bands, :],
+                    p.scales[..., :reg_bands, :])
+    if grads:
+        active = scale_active(flat)
+        nll, d_nll = nll_grad(x, p, active)
+        reg, d_reg = reg_grad(low, active[..., :reg_bands, :], a, regularizer)
+    else:
+        nll, d_nll = -log_prob(x, p), None
+        reg, d_reg = reg_term(mixture_variance(low), a, regularizer), None
     if baseline is not None and baseline.gamma0 > 0.0:
         main = -nll
         nll = -_with_baseline(x, main, baseline)
-        w = np.exp(np.log1p(-baseline.gamma0) + main + nll)[..., None]
-        dl, dm, ds = w * dl, w * dm, w * ds
-    low = MoLParams(p.gammas[..., :reg_bands, :], p.mus[..., :reg_bands, :],
-                    p.scales[..., :reg_bands, :])
-    term, rl, rm, rs = reg_grad(low, active[..., :reg_bands, :], a, regularizer)
-    return HeadTerms(nll, RawMoLParams(dl, dm, ds), mixture_variance(p),
-                     term, RawMoLParams(rl, rm, rs))
+        if grads:
+            d_nll = np.exp(np.log1p(-baseline.gamma0) + main + nll)[..., None] * d_nll
+    return HeadTerms(nll, mixture_variance(p), reg, d_nll, d_reg)

@@ -98,11 +98,6 @@ def dense_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
     return dx, dw, db
 
 
-# the block-diagonal names stay for their callers: it is the same kernel
-block_diagonal_forward = dense_forward
-block_diagonal_backward = dense_backward
-
-
 def block_parameter_count(size_out: int, size_in: int, blocks: int) -> int:
     if size_out % blocks or size_in % blocks:
         raise ConfigError("dims must be divisible by the block count")

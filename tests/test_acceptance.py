@@ -80,8 +80,8 @@ def test_criterion_02_gradient_suite():
 
         xb, wb, bb = rng.normal(0, 1, (2, 8)), rng.normal(0, 1, (4, 2, 2)), rng.normal(0, 1, 8)
         cb = rng.normal(0, 1, (2, 8))
-        dxb, dwb, dbb = neural.block_diagonal_backward(xb, wb, cb)
-        fb = lambda: float(np.sum(neural.block_diagonal_forward(xb, wb, bb) * cb))
+        dxb, dwb, dbb = neural.dense_backward(xb, wb, cb)
+        fb = lambda: float(np.sum(neural.dense_forward(xb, wb, bb) * cb))
         check(dxb, fb, xb), check(dwb, fb, wb), check(dbb, fb, bb)
 
         cell = neural.GRUCell(4, 4, rng, blocks=int(rng.choice([1, 2])))
@@ -368,7 +368,7 @@ def test_criterion_09_end_to_end_smoke(paired_runs, toy_quantizer, tmp_path):
         return load_wav(outs[0]).samples
 
     def band0_stats(samples):
-        band0 = bank.analyze(samples).bands[0]
+        band0 = bank.analyze(samples)[0]
         spectrum = np.abs(np.fft.rfft(band0 * np.hanning(len(band0)))) ** 2
         freqs = np.fft.rfftfreq(len(band0), d=cfg.model.n_bands / sr)
         keep = freqs >= 60.0  # ignore the DC/gap region of the burst train
@@ -405,8 +405,8 @@ def test_criterion_10_baseline_distribution_consistency():
     worst_quad = 0.0
     for _ in range(5):
         k = int(rng.integers(1, 6))
-        raw = mol.RawMoLParams(rng.normal(0, 1, k), rng.normal(0, 1, k),
-                               rng.uniform(-2.5, 0.5, k))
+        raw = np.concatenate([rng.normal(0, 1, k), rng.normal(0, 1, k),
+                              rng.uniform(-2.5, 0.5, k)])
         xs = rng.normal(0, 3, 64)
         plain = mol.log_prob(xs, mol.constrain(raw))
         spec0 = mol.BaselineSpec(0.0)

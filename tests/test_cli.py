@@ -22,7 +22,7 @@ def env(tmp_path_factory):
     """Config file, short-trained checkpoint, quantizer artifact, test wav."""
     root = tmp_path_factory.mktemp("cli")
     cfg = toy_config()
-    cfg.train.steps = 60
+    cfg.train.steps = 2
     cfg.train.batch_size = 8
     cfg.train.lr = 2e-3
     cfg.train.checkpoint_interval = 60

@@ -128,6 +128,21 @@ class TestTeacherForced:
                 numeric[i] = (fp - fm) / (2 * h)
             assert fd_rel_error(p.grad, numeric) <= 1e-4, p.name
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("regularizer", ["log", "linear"])
+    @pytest.mark.parametrize("gamma0", [0.0, 0.3])
+    def test_forward_only_equals_gradient_pass(self, batch, regularizer, gamma0):
+        # compute_grads=False skips the head's gradients, not its terms' bits
+        model = tiny_model(seed=41)
+        rng = np.random.default_rng(42)
+        audio, mels, voicing = tiny_batch(rng, model, batch=batch)
+        kwargs = dict(nu=0.05, regularizer=regularizer, voicing=voicing,
+                      baseline=mol.BaselineSpec(gamma0) if gamma0 else None)
+        full = model.teacher_forced(audio, mels, **kwargs)
+        forward = model.teacher_forced(audio, mels, compute_grads=False, **kwargs)
+        for key in ("loss", "nll", "jvar", "sigma", "sigma_all"):
+            assert np.array_equal(forward[key], full[key]), key
+
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_reused_buffers_leave_no_trace(self, blocks):
         # the GRU keeps its sequence buffers while the shape stays; a call
@@ -218,8 +233,8 @@ def reference_generate(model, mels, rng, seconds):
         hs, _ = model.gru.forward_sequence((x + cond[t])[:, None], h)
         h = hs[:, 0]
         flat = dense_forward(h, model.out_w.value, model.out_b.value)
-        raw = mol.RawMoLParams.from_flat(flat.reshape(cfg.n_bands, -1), cfg.n_mix)
-        bands[:, t + 1] = np.clip(reference_sample(mol.constrain(raw), rng), -1.0, 1.0)
+        p = mol.constrain(flat.reshape(cfg.n_bands, -1))
+        bands[:, t + 1] = np.clip(reference_sample(p, rng), -1.0, 1.0)
     waveform = model.filterbank.synthesize(bands[:, 1:])
     delay = model.filterbank.group_delay
     return waveform[delay : delay + steps * cfg.n_bands]

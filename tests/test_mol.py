@@ -25,30 +25,31 @@ class FixedUniformRng:
 
 def random_raw(rng, k=None):
     k = int(rng.integers(1, 6)) if k is None else k
-    return mol.RawMoLParams(
-        logits=rng.normal(0, 1, k),
-        locs=rng.normal(0, 1, k),
-        log_scales=rng.uniform(-2.5, 1.2, k),
-    )
+    # one flat row: logits, locations, log scales
+    return np.concatenate([rng.normal(0, 1, k), rng.normal(0, 1, k), rng.uniform(-2.5, 1.2, k)])
 
 
 class TestConstrain:
     def test_equal_logits_uniform_weights(self):
-        raw = mol.RawMoLParams(np.full(8, 0.7), np.zeros(8), np.zeros(8))
+        raw = np.concatenate([np.full(8, 0.7), np.zeros(8), np.zeros(8)])
         p = mol.constrain(raw)
         assert np.allclose(p.gammas, 1.0 / 8.0, atol=1e-15)
 
     def test_zero_log_scale_gives_unit_scale(self):
-        p = mol.constrain(mol.RawMoLParams(np.zeros(1), np.zeros(1), np.zeros(1)))
+        p = mol.constrain(np.zeros(3))
         assert p.scales[0] == 1.0
 
     def test_scale_clamped_below(self):
-        p = mol.constrain(mol.RawMoLParams(np.zeros(1), np.zeros(1), np.array([-20.0])))
+        p = mol.constrain(np.array([0.0, 0.0, -20.0]))
         assert p.scales[0] == mol.S_MIN
+
+    def test_width_not_three_k_rejected(self):
+        with pytest.raises(ValueError):
+            mol.constrain(np.zeros((2, 4)))
 
     def test_nan_rejected(self):
         with pytest.raises(NumericError):
-            mol.constrain(mol.RawMoLParams(np.array([np.nan]), np.zeros(1), np.zeros(1)))
+            mol.constrain(np.array([np.nan, 0.0, 0.0]))
 
 
 class TestLogProb:
@@ -96,8 +97,7 @@ class TestSample:
         rng = np.random.default_rng(30 + k)
         flat = np.concatenate([rng.normal(0, 2, (6, k)), rng.normal(0, 1, (6, k)),
                                rng.uniform(-12.0, 4.0, (6, k))], axis=-1)
-        expected = reference_sample(mol.constrain(mol.RawMoLParams.from_flat(flat, k)),
-                                    np.random.default_rng(5))
+        expected = reference_sample(mol.constrain(flat), np.random.default_rng(5))
         noise = mol.sample_noise(np.random.default_rng(5), 1, 6)[0]
         assert np.array_equal(mol.sample(flat, noise), expected)
 
@@ -162,10 +162,8 @@ class TestMoments:
     def test_variance_matches_monte_carlo(self):
         rng = np.random.default_rng(10)
         for _ in range(5):
-            p = mol.constrain(
-                mol.RawMoLParams(rng.normal(0, 1, 4), rng.uniform(-1.5, 1.5, 4),
-                                 rng.uniform(-2.3, 0.0, 4))
-            )
+            p = mol.constrain(np.concatenate([rng.normal(0, 1, 4), rng.uniform(-1.5, 1.5, 4),
+                                              rng.uniform(-2.3, 0.0, 4)]))
             draws = mol.sample_n(p, np.random.default_rng(7), 10**6)
             assert draws.var() == pytest.approx(float(mol.mixture_variance(p)), rel=0.01)
 
@@ -238,7 +236,7 @@ class TestBaseline:
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_train_mode_lower_bounded_by_baseline(self):
-        raw = mol.RawMoLParams(np.zeros(2), np.zeros(2), np.full(2, -2.0))
+        raw = np.concatenate([np.zeros(2), np.zeros(2), np.full(2, -2.0)])
         spec = mol.BaselineSpec(0.5, mu0=0.0, s0=10.0)
         x = 35.0  # far in the tail of the learned components
         lp = float(mol.baseline_log_prob(x, raw, spec, "train"))
@@ -264,13 +262,9 @@ class TestGradients:
     def _objective(x, raw, nu, regularizer, reg_bands, baseline):
         """sum(nll) + nu * sum(reg) and its analytic gradient, flattened."""
         t = mol.head_terms(x, raw, reg_bands, 1e-4, regularizer, baseline)
-        grads = []
-        for d_nll, d_reg in zip((t.d_nll.logits, t.d_nll.locs, t.d_nll.log_scales),
-                                (t.d_reg.logits, t.d_reg.locs, t.d_reg.log_scales)):
-            g = d_nll.copy()
-            g[:reg_bands] += nu * d_reg
-            grads.append(g.ravel())
-        return float(np.sum(t.nll) + nu * np.sum(t.reg)), np.concatenate(grads)
+        g = t.d_nll.copy()
+        g[:reg_bands] += nu * t.d_reg
+        return float(np.sum(t.nll) + nu * np.sum(t.reg)), g.ravel()
 
     def _fd_check(self, nu, regularizer, trials=100, seed=0, gamma0=0.0):
         rng = np.random.default_rng(seed)
@@ -278,22 +272,21 @@ class TestGradients:
         worst = 0.0
         for _ in range(trials):
             n_bands, k = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-            raw = mol.RawMoLParams(rng.normal(0, 1, (n_bands, k)), rng.normal(0, 1, (n_bands, k)),
-                                   rng.uniform(-2.5, 1.2, (n_bands, k)))
+            raw = np.concatenate([rng.normal(0, 1, (n_bands, k)), rng.normal(0, 1, (n_bands, k)),
+                                  rng.uniform(-2.5, 1.2, (n_bands, k))], axis=-1)
             x = rng.normal(0, 2, n_bands)
             reg_bands = int(rng.integers(1, n_bands + 1))
             args = (x, raw, nu, regularizer, reg_bands, baseline)
             _, analytic = self._objective(*args)
             numeric = []
-            for arr in (raw.logits, raw.locs, raw.log_scales):
-                for i in np.ndindex(arr.shape):
-                    h, orig = 1e-5, arr[i]
-                    arr[i] = orig + h
-                    vp, _ = self._objective(*args)
-                    arr[i] = orig - h
-                    vm, _ = self._objective(*args)
-                    arr[i] = orig
-                    numeric.append((vp - vm) / (2 * h))
+            for i in np.ndindex(raw.shape):
+                h, orig = 1e-5, raw[i]
+                raw[i] = orig + h
+                vp, _ = self._objective(*args)
+                raw[i] = orig - h
+                vm, _ = self._objective(*args)
+                raw[i] = orig
+                numeric.append((vp - vm) / (2 * h))
             worst = max(worst, fd_rel_error(analytic, np.array(numeric)))
         return worst
 
@@ -312,19 +305,21 @@ class TestGradients:
     def test_nu_zero_equals_nll_gradient(self):
         # with no baseline mass the head's NLL terms are nll_grad's, bit for bit
         rng = np.random.default_rng(9)
-        raw = mol.RawMoLParams(rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (3, 4)),
-                               rng.uniform(-2.5, 1.2, (3, 4)))
+        raw = np.concatenate([rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (3, 4)),
+                              rng.uniform(-2.5, 1.2, (3, 4))], axis=-1)
         x = rng.normal(0, 1, 3)
-        nll, dl, dm, ds = mol.nll_grad(x, mol.constrain(raw), mol.scale_active(raw))
+        nll, d = mol.nll_grad(x, mol.constrain(raw), mol.scale_active(raw))
         for baseline in (None, mol.BaselineSpec(0.0)):
             t = mol.head_terms(x, raw, 2, baseline=baseline)
             assert np.array_equal(t.nll, nll)
-            assert np.array_equal(t.d_nll.logits, dl)
-            assert np.array_equal(t.d_nll.locs, dm)
-            assert np.array_equal(t.d_nll.log_scales, ds)
+            assert np.array_equal(t.d_nll, d)
+            # the forward-only head gives the same NLL and no gradient
+            forward = mol.head_terms(x, raw, 2, baseline=baseline, grads=False)
+            assert np.array_equal(forward.nll, nll)
+            assert forward.d_nll is None and forward.d_reg is None
 
     def test_stationary_at_location_optimum(self):
         # for K=1 the NLL in mu is minimized at mu = x
-        raw = mol.RawMoLParams(np.zeros((1, 1)), np.array([[0.7]]), np.zeros((1, 1)))
+        raw = np.array([[0.0, 0.7, 0.0]])
         t = mol.head_terms(np.array([0.7]), raw, 1)
-        assert abs(t.d_nll.locs[0, 0]) < 1e-14
+        assert abs(t.d_nll[0, 1]) < 1e-14

@@ -67,16 +67,16 @@ class TestBlockDiagonal:
         rng = np.random.default_rng(2)
         x, w, b = rand(rng, 3, 6), rand(rng, 1, 4, 6), rand(rng, 4)
         assert np.array_equal(
-            neural.block_diagonal_forward(x, w, b), neural.dense_forward(x, w[0], b)
+            neural.dense_forward(x, w, b), neural.dense_forward(x, w[0], b)
         )
 
     def test_no_cross_block_influence(self):
         rng = np.random.default_rng(3)
         x, w = rand(rng, 2, 8), rand(rng, 4, 3, 2)
-        base = neural.block_diagonal_forward(x, w, np.zeros(12))
+        base = neural.dense_forward(x, w, np.zeros(12))
         x2 = x.copy()
         x2[:, 2:4] += 1.0  # block 1 inputs
-        moved = neural.block_diagonal_forward(x2, w, np.zeros(12))
+        moved = neural.dense_forward(x2, w, np.zeros(12))
         delta = moved - base
         assert np.all(delta[:, :3] == 0.0)
         assert np.any(delta[:, 3:6] != 0.0)
@@ -87,8 +87,8 @@ class TestBlockDiagonal:
         for _ in range(20):
             x, w, b = rand(rng, 3, 8), rand(rng, 4, 2, 2), rand(rng, 8)
             c = rand(rng, 3, 8)
-            f = lambda: float(np.sum(neural.block_diagonal_forward(x, w, b) * c))
-            dx, dw, db = neural.block_diagonal_backward(x, w, c)
+            f = lambda: float(np.sum(neural.dense_forward(x, w, b) * c))
+            dx, dw, db = neural.dense_backward(x, w, c)
             assert fd_rel_error(dx, numeric_grad(f, x)) <= TOL
             assert fd_rel_error(dw, numeric_grad(f, w)) <= TOL
             assert fd_rel_error(db, numeric_grad(f, b)) <= TOL
