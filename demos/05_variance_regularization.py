@@ -56,9 +56,8 @@ for nu, (cfg, result) in runs.items():
     sigmas, nlls = [], []
     for clip, voicing in zip(held_out.clips, held_out.voicing):
         mels = log_mel_features(AudioBuffer(clip, sr), cfg.features)
-        st = model.teacher_forced(clip, mels, compute_grads=False)
-        frame_idx = model._frame_of_step(st["sigma"].shape[1], len(voicing))
-        voiced = voicing[frame_idx] > 0.8
+        st = model.teacher_forced(clip, mels, voicing=voicing[None], compute_grads=False)
+        voiced = st["weights"][0] > 0.8  # each step's frame voicing
         if voiced.any():
             sigmas.append(st["sigma"][0][voiced].mean())
         nlls.append(st["nll"])

@@ -161,13 +161,13 @@ def cmd_eval(args) -> int:
             if len(frames) == 0:
                 missing.append(f"{entry.clean_path}: too short")
                 continue
-            stats = model.teacher_forced(audio.samples, frames, compute_grads=False)
-            sigma = stats["sigma_all"][0]  # (T, N)
             voicing = voicing_per_frame(
                 audio.samples, feat.window_length, feat.hop_length, feat.sample_rate
             )
-            frame_idx = model._frame_of_step(sigma.shape[0], len(voicing))
-            voiced = voicing[frame_idx] > 0.8
+            stats = model.teacher_forced(audio.samples, frames, voicing=voicing[None],
+                                         compute_grads=False)
+            sigma = stats["sigma_all"][0]  # (T, N)
+            voiced = stats["weights"][0] > 0.8  # each step's frame voicing
             sig_v = sigma[voiced] if voiced.any() else np.array([np.nan])
 
             lsd = np.nan

@@ -55,6 +55,8 @@ class FeatureConfig:
         return self.mel_fmax if self.mel_fmax > 0 else self.sample_rate / 2.0
 
     def validate(self) -> None:
+        if self.hop_ms <= 0:
+            raise ConfigError("hop_ms must be positive")
         if self.window_ms < self.hop_ms:
             raise ConfigError("window_ms must be >= hop_ms")
         if self.resolved_fft_size() < self.window_length:
@@ -92,16 +94,16 @@ class ModelConfig:
         return self.band_rate // (self.frame_rate * 8)
 
     def validate(self) -> None:
+        for key in ("n_bands", "n_mix", "gru_state", "cond_channels", "n_mels", "frame_rate",
+                    "sample_rate", "gru_blocks", "fb_taps"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         if self.sample_rate % self.n_bands != 0:
             raise ConfigError("sample_rate must be divisible by n_bands")
         if self.band_rate % (self.frame_rate * 8) != 0:
             raise ConfigError("band rate must be an integer multiple of 8x frame_rate")
-        if self.gru_blocks < 1:
-            raise ConfigError("gru_blocks must be >= 1")
         if self.gru_state % self.gru_blocks != 0:
             raise ConfigError("gru_state must be divisible by gru_blocks")
-        if self.n_mix < 1:
-            raise ConfigError("n_mix must be >= 1")
 
 
 @dataclass
@@ -164,6 +166,9 @@ class TrainConfig:
             raise ConfigError("prune_end must be >= prune_start")
         if not 0 <= self.baseline_gamma0 < 1:
             raise ConfigError("baseline_gamma0 must be in [0, 1)")
+        for key in ("batch_size", "prune_interval", "checkpoint_interval", "clip_seconds"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive")
 
 
 _SECTIONS = {
@@ -300,7 +305,6 @@ def load_config(path) -> CodecConfig:
 def paper_config() -> CodecConfig:
     """Full-scale configuration: 16 kHz, 160 mels, 4 bands, GRU 1024, 3 kb/s."""
     cfg = CodecConfig()
-    cfg.model.gru_blocks = 1
     cfg.validate()
     return cfg
 

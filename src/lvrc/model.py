@@ -30,41 +30,39 @@ from .filterbank import Filterbank, FilterbankSpec
 from .neural import (
     GRUCell,
     Parameter,
-    causal_conv_backward,
-    causal_conv_forward,
+    conv_backward,
+    conv_forward,
     dense_backward,
     dense_forward,
     init_weight,
-    noncausal_conv3_backward,
-    noncausal_conv3_forward,
     transpose_conv_backward,
     transpose_conv_forward,
 )
 
 CHECKPOINT_MAGIC = b"LVRW"
-_DILATIONS = (1, 2, 4)
+# The conditioning stack's tanh layers in order as (tag, `conv_forward` tap
+# delays), None marking a stride-2 transpose convolution; "proj" follows.
+_LAYERS = (("in", (1, 0, -1)), ("dil0", (1, 0)), ("dil1", (2, 0)), ("dil2", (4, 0)),
+           ("up0", None), ("up1", None), ("up2", None))
 
 
 class ConditioningStack:
     """Mel frames (B, F, M) -> conditioning vectors (B, F*8, H)."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64):
-        c, h, m = cfg.cond_channels, cfg.gru_state, cfg.n_mels
+        c, h, in_ch = cfg.cond_channels, cfg.gru_state, cfg.n_mels
         self.cfg = cfg
         self.params: dict[str, Parameter] = {}
 
-        def conv_param(tag, kernel, out_ch, in_ch):
-            w = init_weight(rng, (kernel, out_ch, in_ch), in_ch * kernel, out_ch, dtype)
+        def param(tag, w):
             self.params[f"{tag}.w"] = Parameter(f"cond.{tag}.w", w)
-            self.params[f"{tag}.b"] = Parameter(f"cond.{tag}.b", np.zeros(out_ch, dtype))
+            self.params[f"{tag}.b"] = Parameter(f"cond.{tag}.b", np.zeros(w.shape[-2], dtype))
 
-        conv_param("in", 3, c, m)
-        for i in range(3):
-            conv_param(f"dil{i}", 2, c, c)
-        for i in range(3):
-            conv_param(f"up{i}", 2, c, c)
-        self.params["proj.w"] = Parameter("cond.proj.w", init_weight(rng, (h, c), c, h, dtype))
-        self.params["proj.b"] = Parameter("cond.proj.b", np.zeros(h, dtype))
+        for tag, delays in _LAYERS:
+            kernel = 2 if delays is None else len(delays)
+            param(tag, init_weight(rng, (kernel, c, in_ch), in_ch * kernel, c, dtype))
+            in_ch = c
+        param("proj", init_weight(rng, (h, c), c, h, dtype))
 
     def _wb(self, tag):
         return self.params[f"{tag}.w"].value, self.params[f"{tag}.b"].value
@@ -74,45 +72,29 @@ class ConditioningStack:
         if mels.shape[1] == 0:
             raise ConfigError("conditioning requires at least one mel frame")
         x = (mels + self.cfg.mel_offset) * self.cfg.mel_scale
-        acts = [x]
-        w, b = self._wb("in")
-        x = np.tanh(noncausal_conv3_forward(x, w, b))
-        acts.append(x)
-        for i, dil in enumerate(_DILATIONS):
-            w, b = self._wb(f"dil{i}")
-            x = np.tanh(causal_conv_forward(x, w, b, dil))
-            acts.append(x)
-        for i in range(3):
-            w, b = self._wb(f"up{i}")
-            x = np.tanh(transpose_conv_forward(x, w, b))
+        acts = [x]  # the input and each tanh layer's output
+        for tag, delays in _LAYERS:
+            w, b = self._wb(tag)
+            y = transpose_conv_forward(x, w, b) if delays is None else conv_forward(x, w, b, delays)
+            x = np.tanh(y)
             acts.append(x)
         w, b = self._wb("proj")
-        cond = dense_forward(x, w, b)
-        return cond, acts
+        return dense_forward(x, w, b), acts
 
     def backward(self, d_cond: np.ndarray, acts) -> None:
-        """Accumulates parameter gradients for a forward pass."""
-        w, _ = self._wb("proj")
-        dx, dw, db = dense_backward(acts[7], w, d_cond)
-        self.params["proj.w"].grad += dw
-        self.params["proj.b"].grad += db
-        for i in range(2, -1, -1):
-            dx = dx * (1.0 - acts[4 + i + 1] ** 2)
-            w, _ = self._wb(f"up{i}")
-            dx, dw, db = transpose_conv_backward(acts[4 + i], w, dx)
-            self.params[f"up{i}.w"].grad += dw
-            self.params[f"up{i}.b"].grad += db
-        for i in range(2, -1, -1):
-            dx = dx * (1.0 - acts[1 + i + 1] ** 2)
-            w, _ = self._wb(f"dil{i}")
-            dx, dw, db = causal_conv_backward(acts[1 + i], w, dx, _DILATIONS[i])
-            self.params[f"dil{i}.w"].grad += dw
-            self.params[f"dil{i}.b"].grad += db
-        dx = dx * (1.0 - acts[1] ** 2)
-        w, _ = self._wb("in")
-        _, dw, db = noncausal_conv3_backward(acts[0], w, dx)
-        self.params["in.w"].grad += dw
-        self.params["in.b"].grad += db
+        """Accumulates parameter gradients for a forward pass, walking `_LAYERS` back."""
+        dx, dw, db = dense_backward(acts[-1], self._wb("proj")[0], d_cond)
+        self._add_grads("proj", dw, db)
+        for i, (tag, delays) in reversed(list(enumerate(_LAYERS))):
+            x, w = acts[i], self._wb(tag)[0]  # layer i maps acts[i] to acts[i + 1]
+            dy = dx * (1.0 - acts[i + 1] ** 2)
+            dx, dw, db = (transpose_conv_backward(x, w, dy) if delays is None
+                          else conv_backward(x, w, dy, delays))
+            self._add_grads(tag, dw, db)
+
+    def _add_grads(self, tag, dw, db) -> None:
+        self.params[f"{tag}.w"].grad += dw
+        self.params[f"{tag}.b"].grad += db
 
 
 class CodecModel:
@@ -198,12 +180,13 @@ class CodecModel:
 
         Returns a dict with the scalar loss, its NLL and variance terms
         (nats per band sample), per-element sigma_q on the regularized
-        bands ("sigma") and on every band ("sigma_all"), and — when
-        compute_grads — parameter gradients accumulated into the model.
+        bands ("sigma") and on every band ("sigma_all"), each step's
+        voicing weight ("weights", (B, T), ones without `voicing`), and —
+        when compute_grads — parameter gradients accumulated into the model.
 
         The loss is mean(-log q) over all bands and steps plus
         nu * mean(voicing * reg_term) over the first `reg_bands` bands,
-        with the voicing weight of the mel frame containing each step.
+        with the voicing (B, frames) of the mel frame containing each step.
         """
         cfg = self.cfg
         mels = np.asarray(mels, dtype=self.dtype)

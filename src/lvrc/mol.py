@@ -8,9 +8,9 @@ The unconstrained form is the output layer's flat (..., 3K) row: K weight
 logits, K locations and K log scales. `constrain`, `sample`,
 `scale_active` and `baseline_log_prob` read such rows, and gradients
 w.r.t. them come back in the same (..., 3K) layout. `head_terms` is the
-training head's one forward/backward: it constrains the rows once and
-returns the NLL, the mixture variance and the regularizer, with their
-exact gradients unless asked for none.
+training head's one forward/backward: it constrains the rows and takes
+the mixture moments once, and returns the NLL, the mixture variance and
+the regularizer, with their exact gradients unless asked for none.
 
 All functions are vectorized: parameter arrays carry the mixture axis
 last, and an arbitrary batch shape in front.
@@ -169,10 +169,17 @@ def mixture_mean(p: MoLParams):
     return np.sum(p.gammas * p.mus, axis=-1)
 
 
-def mixture_variance(p: MoLParams):
-    """sigma_q^2 = sum_k gamma_k (s_k^2 pi^2/3 + mu_k^2) - (sum_k gamma_k mu_k)^2."""
+def mixture_moments(p: MoLParams):
+    """(mean, variance), the variance being
+    sigma_q^2 = sum_k gamma_k (s_k^2 pi^2/3 + mu_k^2) - (sum_k gamma_k mu_k)^2."""
     second = np.sum(p.gammas * (p.scales**2 * _PI2_3 + p.mus**2), axis=-1)
-    return second - mixture_mean(p) ** 2
+    mean = mixture_mean(p)
+    return mean, second - mean**2
+
+
+def mixture_variance(p: MoLParams):
+    """The variance of `mixture_moments`."""
+    return mixture_moments(p)[1]
 
 
 def reg_term(var, a: float, regularizer: str):
@@ -251,22 +258,20 @@ def nll_grad(x, p: MoLParams, active: np.ndarray):
                                  -resp * (z * th - 1.0) * active], axis=-1)
 
 
-def variance_grad(p: MoLParams, active: np.ndarray):
-    """Mixture variance and its gradient w.r.t. the flat rows."""
-    mean = mixture_mean(p)
-    var = mixture_variance(p)
+def variance_grad(p: MoLParams, active: np.ndarray, mean, var):
+    """Gradient of the mixture variance w.r.t. the flat rows, given `mixture_moments(p)`."""
     centered = p.mus - mean[..., None]
-
-    return var, np.concatenate([
+    return np.concatenate([
         p.gammas * (p.scales**2 * _PI2_3 + centered**2 - var[..., None]),
         2.0 * p.gammas * centered,
         2.0 * _PI2_3 * p.gammas * p.scales**2 * active,
     ], axis=-1)
 
 
-def reg_grad(p: MoLParams, active: np.ndarray, a: float, regularizer: str):
-    """Per-element `reg_term` and its gradient w.r.t. the flat rows."""
-    var, d = variance_grad(p, active)
+def reg_grad(p: MoLParams, active: np.ndarray, mean, var, a: float, regularizer: str):
+    """Per-element `reg_term` and its gradient w.r.t. the flat rows, given
+    `mixture_moments(p)`."""
+    d = variance_grad(p, active, mean, var)
     term = reg_term(var, a, regularizer)
     if regularizer == "log":
         sigma = np.sqrt(np.maximum(var, 0.0))
@@ -292,7 +297,8 @@ class HeadTerms:
 def head_terms(x, flat: np.ndarray, reg_bands: int, a: float = 1e-4,
                regularizer: str = "log", baseline: BaselineSpec | None = None,
                grads: bool = True) -> HeadTerms:
-    """NLL, mixture variance and regularizer, and their gradients, from one constrain.
+    """NLL, mixture variance and regularizer, and their gradients, from one
+    constrain and one `mixture_moments`.
 
     x has shape (..., N) with one target per band; flat carries the (3K)
     row axis after it. The regularizer covers the first `reg_bands` bands.
@@ -303,18 +309,21 @@ def head_terms(x, flat: np.ndarray, reg_bands: int, a: float = 1e-4,
     gradient is computed.
     """
     p = constrain(flat)
+    mean, var = mixture_moments(p)
     low = MoLParams(p.gammas[..., :reg_bands, :], p.mus[..., :reg_bands, :],
                     p.scales[..., :reg_bands, :])
     if grads:
-        active = scale_active(flat)
+        # the clip leaves exactly the in-range scales strictly inside it
+        active = ((p.scales > S_MIN) & (p.scales < S_MAX)).astype(np.float64)
         nll, d_nll = nll_grad(x, p, active)
-        reg, d_reg = reg_grad(low, active[..., :reg_bands, :], a, regularizer)
+        reg, d_reg = reg_grad(low, active[..., :reg_bands, :], mean[..., :reg_bands],
+                              var[..., :reg_bands], a, regularizer)
     else:
         nll, d_nll = -log_prob(x, p), None
-        reg, d_reg = reg_term(mixture_variance(low), a, regularizer), None
+        reg, d_reg = reg_term(var[..., :reg_bands], a, regularizer), None
     if baseline is not None and baseline.gamma0 > 0.0:
         main = -nll
         nll = -_with_baseline(x, main, baseline)
         if grads:
             d_nll = np.exp(np.log1p(-baseline.gamma0) + main + nll)[..., None] * d_nll
-    return HeadTerms(nll, mixture_variance(p), reg, d_nll, d_reg)
+    return HeadTerms(nll, var, reg, d_nll, d_reg)

@@ -3,12 +3,13 @@
 One dense kernel whose weight is (out, in) or block-diagonal (blocks,
 out_b, in_b), dense being one block on the same code; a GRU cell whose
 training sequence and decode step run one update, the sequence in
-buffers it reuses from call to call; causal dilated /
-non-causal / transpose 1-D convolutions, Adam with pruning-mask
-enforcement, and the cubic magnitude-pruning schedule. Backward
-functions return exact analytic gradients; the finite-difference test
-suite is the correctness contract. Sequence arrays are (batch, time,
-channels); convolution kernels are (kernel, out, in).
+buffers it reuses from call to call; one tap-delay 1-D convolution
+(causal dilated and centered kernels are sets of tap delays) and the
+stride-2 transpose convolution; Adam with pruning-mask enforcement, and
+the cubic magnitude-pruning schedule. Backward functions return exact
+analytic gradients; the finite-difference test suite is the correctness
+contract. Sequence arrays are (batch, time, channels); convolution
+kernels are (kernel, out, in).
 """
 
 from __future__ import annotations
@@ -349,51 +350,36 @@ class GRUCell:
 # 1-D convolutions over (batch, time, channels)
 # ---------------------------------------------------------------------------
 
-def _shift_right(x: np.ndarray, amount: int) -> np.ndarray:
-    """x delayed by `amount` steps, zero history."""
-    if amount == 0:
+def _shift(x: np.ndarray, delay: int) -> np.ndarray:
+    """x delayed by `delay` steps with zero fill; a negative delay advances it."""
+    if delay == 0:
         return x
     out = np.zeros_like(x)
-    out[:, amount:] = x[:, :-amount]
-    return out
-
-def _shift_left(x: np.ndarray, amount: int) -> np.ndarray:
-    if amount == 0:
-        return x
-    out = np.zeros_like(x)
-    out[:, :-amount] = x[:, amount:]
+    if delay > 0:
+        out[:, delay:] = x[:, :-delay]
+    else:
+        out[:, :delay] = x[:, -delay:]
     return out
 
 
-def causal_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int) -> np.ndarray:
-    """y[t] = w[0] @ x[t - dilation] + w[1] @ x[t] + b, zero left padding."""
-    if dilation < 1:
-        raise ConfigError("dilation must be >= 1")
-    return _shift_right(x, dilation) @ w[0].T + x @ w[1].T + b
+def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, delays) -> np.ndarray:
+    """y[t] = sum_j w[j] @ x[t - delays[j]] + b, zero padded, the taps summed in order.
 
-def causal_conv_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, dilation: int):
-    x_hist = _shift_right(x, dilation)
-    dw = np.stack([
-        np.tensordot(dy, x_hist, axes=([0, 1], [0, 1])),
-        np.tensordot(dy, x, axes=([0, 1], [0, 1])),
-    ])
+    Causal dilation d is delays (d, 0), and a centered kernel 3 is (1, 0, -1).
+    """
+    y = _shift(x, delays[0]) @ w[0].T
+    for w_j, d in zip(w[1:], delays[1:]):
+        y += _shift(x, d) @ w_j.T
+    y += b
+    return y
+
+def conv_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, delays):
+    """Returns (dx, dw, db) for y = conv_forward(x, w, b, delays)."""
+    dw = np.stack([np.tensordot(dy, _shift(x, d), axes=([0, 1], [0, 1])) for d in delays])
     db = dy.sum(axis=(0, 1))
-    dx = _shift_left(dy @ w[0], dilation) + dy @ w[1]
-    return dx, dw, db
-
-
-def noncausal_conv3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel-3 centered conv: y[t] = w0 x[t-1] + w1 x[t] + w2 x[t+1] + b."""
-    return _shift_right(x, 1) @ w[0].T + x @ w[1].T + _shift_left(x, 1) @ w[2].T + b
-
-def noncausal_conv3_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
-    dw = np.stack([
-        np.tensordot(dy, _shift_right(x, 1), axes=([0, 1], [0, 1])),
-        np.tensordot(dy, x, axes=([0, 1], [0, 1])),
-        np.tensordot(dy, _shift_left(x, 1), axes=([0, 1], [0, 1])),
-    ])
-    db = dy.sum(axis=(0, 1))
-    dx = _shift_left(dy @ w[0], 1) + dy @ w[1] + _shift_right(dy @ w[2], 1)
+    dx = _shift(dy @ w[0], -delays[0])
+    for w_j, d in zip(w[1:], delays[1:]):
+        dx += _shift(dy @ w_j, -d)
     return dx, dw, db
 
 

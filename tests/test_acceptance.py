@@ -103,8 +103,8 @@ def test_criterion_02_gradient_suite():
         xc, wc, bc = rng.normal(0, 1, (2, 6, 3)), rng.normal(0, 1, (2, 4, 3)), rng.normal(0, 1, 4)
         cc = rng.normal(0, 1, (2, 6, 4))
         dil = int(rng.choice([1, 2, 4]))
-        dxc, dwc, dbc = neural.causal_conv_backward(xc, wc, cc, dil)
-        fc = lambda: float(np.sum(neural.causal_conv_forward(xc, wc, bc, dil) * cc))
+        dxc, dwc, dbc = neural.conv_backward(xc, wc, cc, (dil, 0))
+        fc = lambda: float(np.sum(neural.conv_forward(xc, wc, bc, (dil, 0)) * cc))
         check(dxc, fc, xc), check(dwc, fc, wc), check(dbc, fc, bc)
 
         wt = rng.normal(0, 1, (2, 4, 3))
@@ -114,8 +114,8 @@ def test_criterion_02_gradient_suite():
         check(dxt, ft, xc), check(dwt, ft, wt), check(dbt, ft, bc)
 
         w3 = rng.normal(0, 1, (3, 4, 3))
-        dx3, dw3, db3 = neural.noncausal_conv3_backward(xc, w3, cc)
-        f3 = lambda: float(np.sum(neural.noncausal_conv3_forward(xc, w3, bc) * cc))
+        dx3, dw3, db3 = neural.conv_backward(xc, w3, cc, (1, 0, -1))
+        f3 = lambda: float(np.sum(neural.conv_forward(xc, w3, bc, (1, 0, -1)) * cc))
         check(dx3, f3, xc), check(dw3, f3, w3), check(db3, f3, bc)
 
     # the combined teacher-forced objective, all regularizer/baseline variants

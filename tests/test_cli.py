@@ -292,6 +292,23 @@ class TestUsage:
         ])
         assert rc == 2
 
+    def test_non_positive_interval_exits_2_without_traceback(self, tmp_path):
+        cfg_path = tmp_path / "toy.cfg"
+        cfg_path.write_text(toy_config().to_text() + "train.checkpoint_interval = 0\n")
+        out = _python("-m", "lvrc.cli", "train", "--config", str(cfg_path),
+                      "--out-dir", str(tmp_path / "run"))
+        assert out.returncode == 2
+        assert "error: checkpoint_interval must be positive" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
+def _python(*args):
+    """A fresh interpreter run on the lvrc under test, output captured."""
+    src = os.path.dirname(os.path.dirname(lvrc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
 
 def test_cold_start_imports_no_heavy_scipy_module():
     """The CLI and a model build load scipy.special only: each heavy module costs ~1 s."""
@@ -303,8 +320,6 @@ def test_cold_start_imports_no_heavy_scipy_module():
         "heavy = ('scipy.signal', 'scipy.optimize', 'scipy.stats', 'scipy.interpolate')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
-    src = os.path.dirname(os.path.dirname(lvrc.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=120)
+    out = _python("-c", code)
+    out.check_returncode()
     assert out.stdout.strip() == "[]"

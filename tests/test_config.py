@@ -56,6 +56,22 @@ def test_bad_values_rejected():
             parse_config(bad + "\n")
 
 
+@pytest.mark.parametrize("lines", [
+    "train.checkpoint_interval = 0",
+    "train.prune_interval = 0\ntrain.pruning = true",
+    "train.batch_size = 0",
+    "train.clip_seconds = 0.0",
+    "model.gru_state = 0",
+    "model.cond_channels = 0",
+    "model.n_bands = 0",
+    "features.hop_ms = 0.0",
+])
+def test_non_positive_sizes_rejected(lines):
+    # unchecked, each of these crashes training with a ZeroDivisionError or ValueError
+    with pytest.raises(ConfigError, match="must be"):
+        parse_config(lines + "\n")
+
+
 def test_tile_factor_consistency_checked():
     cfg = toy_config()
     cfg.model.frame_rate = 33  # 8x frame rate no longer divides the band rate

@@ -219,17 +219,17 @@ class TestConvolutions:
     def test_causal_identity_kernel(self):
         x = np.random.default_rng(9).normal(0, 1, (2, 7, 3))
         w = np.stack([np.zeros((3, 3)), np.eye(3)])
-        y = neural.causal_conv_forward(x, w, np.zeros(3), dilation=2)
+        y = neural.conv_forward(x, w, np.zeros(3), (2, 0))
         assert np.allclose(y, x)
 
     def test_causality(self):
         rng = np.random.default_rng(10)
         x = rand(rng, 1, 10, 2)
         w, b = rand(rng, 2, 2, 2), rand(rng, 2)
-        y = neural.causal_conv_forward(x, w, b, dilation=3)
+        y = neural.conv_forward(x, w, b, (3, 0))
         x2 = x.copy()
         x2[0, 6] += 1.0
-        y2 = neural.causal_conv_forward(x2, w, b, dilation=3)
+        y2 = neural.conv_forward(x2, w, b, (3, 0))
         assert np.array_equal(y[0, :6], y2[0, :6])
         assert not np.array_equal(y[0, 6:], y2[0, 6:])
 
@@ -239,8 +239,8 @@ class TestConvolutions:
             for _ in range(7):
                 x, w, b = rand(rng, 2, 8, 3), rand(rng, 2, 4, 3), rand(rng, 4)
                 c = rand(rng, 2, 8, 4)
-                f = lambda: float(np.sum(neural.causal_conv_forward(x, w, b, dil) * c))
-                dx, dw, db = neural.causal_conv_backward(x, w, c, dil)
+                f = lambda: float(np.sum(neural.conv_forward(x, w, b, (dil, 0)) * c))
+                dx, dw, db = neural.conv_backward(x, w, c, (dil, 0))
                 assert fd_rel_error(dx, numeric_grad(f, x)) <= TOL
                 assert fd_rel_error(dw, numeric_grad(f, w)) <= TOL
                 assert fd_rel_error(db, numeric_grad(f, b)) <= TOL
@@ -273,8 +273,8 @@ class TestConvolutions:
         for _ in range(20):
             x, w, b = rand(rng, 2, 6, 3), rand(rng, 3, 4, 3), rand(rng, 4)
             c = rand(rng, 2, 6, 4)
-            f = lambda: float(np.sum(neural.noncausal_conv3_forward(x, w, b) * c))
-            dx, dw, db = neural.noncausal_conv3_backward(x, w, c)
+            f = lambda: float(np.sum(neural.conv_forward(x, w, b, (1, 0, -1)) * c))
+            dx, dw, db = neural.conv_backward(x, w, c, (1, 0, -1))
             assert fd_rel_error(dx, numeric_grad(f, x)) <= TOL
             assert fd_rel_error(dw, numeric_grad(f, w)) <= TOL
             assert fd_rel_error(db, numeric_grad(f, b)) <= TOL
