@@ -168,7 +168,7 @@ def cmd_eval(args) -> int:
                                          compute_grads=False)
             sigma = stats["sigma_all"][0]  # (T, N)
             voiced = stats["weights"][0] > 0.8  # each step's frame voicing
-            sig_v = sigma[voiced] if voiced.any() else np.array([np.nan])
+            sig_v = sigma[voiced]
 
             lsd = np.nan
             if qmodel is not None:
@@ -181,8 +181,8 @@ def cmd_eval(args) -> int:
                 f"{stats['nll'] / np.log(2.0):.6f}",
                 f"{sigma.mean():.6f}",
                 f"{np.percentile(sigma, 90):.6f}",
-                f"{np.nanmean(sig_v):.6f}",
-                f"{np.nanpercentile(sig_v, 90):.6f}" if voiced.any() else "nan",
+                f"{np.mean(sig_v):.6f}" if voiced.any() else "nan",
+                f"{np.percentile(sig_v, 90):.6f}" if voiced.any() else "nan",
                 f"{lsd:.6f}",
                 f"{snr:.3f}",
             ])

@@ -104,6 +104,8 @@ class ModelConfig:
             raise ConfigError("band rate must be an integer multiple of 8x frame_rate")
         if self.gru_state % self.gru_blocks != 0:
             raise ConfigError("gru_state must be divisible by gru_blocks")
+        if self.dtype not in ("float64", "float32"):
+            raise ConfigError("dtype must be 'float64' or 'float32'")
 
 
 @dataclass

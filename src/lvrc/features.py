@@ -64,15 +64,14 @@ def filter_center_frequencies(cfg: FeatureConfig) -> np.ndarray:
 
 
 def frame_signal(samples: np.ndarray, window: int, hop: int) -> np.ndarray:
-    """Center-aligned frames, shape (n_frames, window). Empty if too short."""
+    """Center-aligned frames of (..., L) samples: (..., n_frames, window), none if L < window."""
     samples = np.asarray(samples, dtype=np.float64)
-    if len(samples) < window:
-        return np.zeros((0, window))
+    if samples.shape[-1] < window:
+        return np.zeros(samples.shape[:-1] + (0, window))
     half = window // 2
-    padded = np.pad(samples, half, mode="reflect")
-    n_frames = (len(padded) - window) // hop + 1
-    idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
-    return padded[idx]
+    padded = np.pad(samples, [(0, 0)] * (samples.ndim - 1) + [(half, half)], mode="reflect")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, window, axis=-1)
+    return np.ascontiguousarray(windows[..., ::hop, :])  # C-ordered rows for voicing
 
 
 @lru_cache(maxsize=16)

@@ -158,8 +158,10 @@ class CodecModel:
             if value.shape != p.value.shape:
                 raise FormatError(f"checkpoint shape mismatch for {p.name}")
             p.value = value.astype(self.dtype).copy()
-            mask_key = f"mask/{p.name}"
-            p.mask = arrays[mask_key].astype(self.dtype).copy() if mask_key in arrays else None
+            mask = arrays.get(f"mask/{p.name}")
+            if mask is not None and mask.shape != p.value.shape:
+                raise FormatError(f"checkpoint mask shape mismatch for {p.name}")
+            p.mask = None if mask is None else mask.astype(self.dtype).copy()
         step = int(entry(arrays, "step", 1)[0])
         if step < 0:
             raise FormatError(f"checkpoint step {step} is negative")

@@ -27,40 +27,44 @@ from .model import CodecModel
 from .neural import Adam, PruningSchedule, prune_update
 
 METRICS_HEADER = ["step", "nll", "jvar", "sigma_mean", "sparsity"]
+# Clip samples per voicing call in ClipDataset (voicing holds ~9x its input: ~18 MiB).
+VOICING_CHUNK_SAMPLES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
 # voicing and noise mixing
 # ---------------------------------------------------------------------------
 
-def voicing_score(frame: np.ndarray, sample_rate: int) -> float:
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # np.dot's bits; einsum's differ
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def voicing_score(frames: np.ndarray, sample_rate: int) -> np.ndarray:
     """Peak normalized autocorrelation over 50-400 Hz pitch lags, in [0, 1].
 
-    Frames whose RMS is below 1e-4 score 0. The frame should cover at
-    least two periods of the lowest pitch (2 * sample_rate / 50 samples).
+    Frames (..., W) score as (...), each bit for bit as if alone; a lag with a zero
+    denominator is skipped. A frame scores 0 if its RMS is below 1e-4 or W allows
+    fewer than two lags. It should span two periods of 50 Hz (2 * sample_rate / 50).
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    if np.sqrt(np.mean(frame**2)) < 1e-4:
-        return 0.0
-    lag_min = max(2, sample_rate // 400)
-    lag_max = min(sample_rate // 50, len(frame) - 1)
-    if lag_max <= lag_min:
-        return 0.0
-    frame = frame - frame.mean()
-    best = 0.0
-    for lag in range(lag_min, lag_max + 1):
-        a, b = frame[lag:], frame[:-lag]
-        denom = math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
-        if denom <= 0:
-            continue
-        best = max(best, float(np.dot(a, b)) / denom)
-    return float(np.clip(best, 0.0, 1.0))
+    frames = np.asarray(frames, dtype=np.float64)
+    rows = frames.reshape(-1, frames.shape[-1])  # C-ordered rows: reductions keep 1-D bits
+    best = np.zeros(len(rows))
+    lags = range(max(2, sample_rate // 400), min(sample_rate // 50, rows.shape[1] - 1) + 1)
+    if len(lags) > 1:
+        silent = np.sqrt(np.mean(rows**2, axis=1)) < 1e-4
+        x = rows - rows.mean(axis=1, keepdims=True)
+        for lag in lags:
+            a, b = x[:, lag:], x[:, :-lag]
+            denom = np.sqrt(_row_dot(a, a) * _row_dot(b, b))
+            r = np.divide(_row_dot(a, b), denom, out=np.zeros_like(denom), where=denom > 0)
+            best = np.maximum(best, r)
+        best[silent] = 0.0
+    return np.clip(best, 0.0, 1.0).reshape(frames.shape[:-1])
 
 
 def voicing_per_frame(samples: np.ndarray, window: int, hop: int, sample_rate: int) -> np.ndarray:
-    """Voicing score for every analysis frame (same framing as the mel frontend)."""
-    frames = frame_signal(samples, window, hop)
-    return np.array([voicing_score(f, sample_rate) for f in frames])
+    """Voicing of each mel-frontend frame of samples (..., L), shape (..., n_frames)."""
+    return voicing_score(frame_signal(samples, window, hop), sample_rate)
 
 
 def mix_noise(clean: AudioBuffer, noise: AudioBuffer | None, snr_db: float,
@@ -213,9 +217,11 @@ class ClipDataset:
         self.noises = [np.asarray(x, dtype=np.float64) for x in noises]
         self.clip_len = n
         feat = cfg.features
-        self.voicing = np.stack([
-            voicing_per_frame(c, feat.window_length, feat.hop_length, feat.sample_rate)
-            for c in self.clips
+        per_call = max(1, VOICING_CHUNK_SAMPLES // max(n, 1))
+        self.voicing = np.concatenate([
+            voicing_per_frame(np.stack(self.clips[i : i + per_call]), feat.window_length,
+                              feat.hop_length, feat.sample_rate)
+            for i in range(0, len(self.clips), per_call)
         ])
 
     @classmethod
@@ -249,6 +255,8 @@ class ClipDataset:
                 nbuf = load_wav(entry.noise_path)
                 if nbuf.sample_rate != sr:
                     raise ConfigError(f"{entry.noise_path}: rate {nbuf.sample_rate} != {sr}")
+                if len(nbuf.samples) == 0:
+                    raise ConfigError(f"{entry.noise_path}: noise file has no samples")
                 noises.append(nbuf.samples)
         return cls(cfg, clips, noises)
 

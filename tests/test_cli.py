@@ -248,6 +248,20 @@ class TestEval:
         assert report.exists()
         assert len(list(csv.DictReader(open(report)))) == 0
 
+    def test_unvoiced_clip_reports_nan_without_a_warning(self, env, tmp_path):
+        sr = env["cfg"].features.sample_rate
+        wav = tmp_path / "silence.wav"
+        save_wav(wav, AudioBuffer(np.zeros(sr), sr))
+        manifest = tmp_path / "eval.tsv"
+        manifest.write_text(f"{wav}\t-\tdev\n")
+        report = tmp_path / "report.csv"
+        out = _python("-m", "lvrc.cli", "eval", "--config", str(env["cfg_path"]),
+                      "--model", str(env["ckpt"]), "--manifest", str(manifest), str(report))
+        assert out.returncode == 0
+        assert "RuntimeWarning" not in out.stderr
+        (row,) = csv.DictReader(open(report))
+        assert row["sigma_voiced_mean"] == row["sigma_voiced_p90"] == "nan"
+
 
 class TestTrain:
     def test_halt_before_first_checkpoint_leaves_a_resumable_one(self, tmp_path, monkeypatch,
@@ -277,6 +291,20 @@ class TestTrain:
         assert [m["nll"] for m in resumed.metrics] == [m["nll"] for m in fresh.metrics]
         assert ((tmp_path / "resumed" / "model.ckpt").read_bytes()
                 == (tmp_path / "fresh" / "model.ckpt").read_bytes())
+
+
+    def test_empty_noise_file_exits_2_without_traceback(self, env, tmp_path):
+        sr = env["cfg"].features.sample_rate
+        clean, noise = tmp_path / "clean.wav", tmp_path / "noise.wav"
+        save_wav(clean, AudioBuffer(synthetic_clip(np.random.default_rng(4), sr, sr), sr))
+        save_wav(noise, AudioBuffer(np.zeros(0), sr))
+        manifest = tmp_path / "train.tsv"
+        manifest.write_text(f"{clean}\t{noise}\ttrain\n")
+        out = _python("-m", "lvrc.cli", "train", "--config", str(env["cfg_path"]),
+                      "--manifest", str(manifest), "--out-dir", str(tmp_path / "run"))
+        assert out.returncode == 2
+        assert f"{noise}: noise file has no samples" in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 class TestUsage:

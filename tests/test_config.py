@@ -49,6 +49,7 @@ def test_bad_values_rejected():
                 "model.n_mix = 0",
                 "model.gru_blocks = 0",
                 "model.gru_blocks = -2",
+                "model.dtype = float46",
                 "train.nu = nan",
                 "train.lr = inf",
                 "quantizer.bits_per_supervector = 1281"):  # 160 splits of <= 8 bits

@@ -95,6 +95,15 @@ def test_frames_centered_on_hop_grid():
     assert frames[2, window // 2] == 2 * hop
 
 
+@pytest.mark.parametrize("length", [PAPER.window_length - 1, PAPER.window_length, 16001])
+def test_batched_framing_is_row_by_row(length):
+    x = np.random.default_rng(length).uniform(-0.5, 0.5, (2, 3, length))
+    frames = frame_signal(x, PAPER.window_length, PAPER.hop_length)
+    rows = [[frame_signal(r, PAPER.window_length, PAPER.hop_length) for r in b] for b in x]
+    assert frames.shape == (2, 3) + rows[0][0].shape
+    assert np.array_equal(frames, rows)
+
+
 @pytest.mark.parametrize("length", [toy_config().features.window_length,
                                     paper_config().features.window_length, 2, 401])
 def test_analysis_window_is_scipy_periodic_hann(length):

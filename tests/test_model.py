@@ -359,6 +359,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             model.load_checkpoint(path)
 
+    @pytest.mark.parametrize("shape", [(1,), (3, 5)])
+    def test_mask_of_wrong_shape_rejected(self, tmp_path, shape):
+        model = tiny_model()
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(path, b"\x07" * 8, step=1)
+        digest, arrays = read_container(path, CHECKPOINT_MAGIC)
+        arrays["mask/gru.Rz"] = np.ones(shape)
+        write_container(path, CHECKPOINT_MAGIC, digest, arrays)
+        with pytest.raises(FormatError, match="mask shape"):
+            model.load_checkpoint(path)
+
     def test_digest_mismatch_rejected(self, tmp_path):
         from lvrc.errors import DigestError
 

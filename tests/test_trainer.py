@@ -1,11 +1,16 @@
 """Voicing, noise mixing, manifest and the training loop."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lvrc import trainer
 from lvrc.audio import AudioBuffer, save_wav
-from lvrc.config import toy_config
+from lvrc.config import paper_config, toy_config
 from lvrc.errors import ConfigError
+from lvrc.features import frame_signal
 from lvrc.model import CodecModel
 from lvrc.trainer import (
     LR_DECAY_STEPS,
@@ -16,6 +21,7 @@ from lvrc.trainer import (
     parse_manifest,
     synthetic_clip,
     train,
+    voicing_per_frame,
     voicing_score,
 )
 
@@ -45,6 +51,58 @@ class TestVoicing:
                 2 * np.pi * rng.uniform(60, 380) * np.arange(640) / sr
             )
             assert 0.0 <= voicing_score(frame, sr) <= 1.0
+
+
+def reference_voicing_score(frame, sample_rate):
+    """One frame, one lag at a time: the loop the batched voicing_score must match bit for bit."""
+    frame = np.asarray(frame, dtype=np.float64)
+    if np.sqrt(np.mean(frame**2)) < 1e-4:
+        return 0.0
+    lag_min = max(2, sample_rate // 400)
+    lag_max = min(sample_rate // 50, len(frame) - 1)
+    if lag_max <= lag_min:
+        return 0.0
+    frame = frame - frame.mean()
+    best = 0.0
+    for lag in range(lag_min, lag_max + 1):
+        a, b = frame[lag:], frame[:-lag]
+        denom = math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
+        if denom <= 0:
+            continue
+        best = max(best, float(np.dot(a, b)) / denom)
+    return float(np.clip(best, 0.0, 1.0))
+
+
+class TestVoicingMatchesPerFrameLoop:
+    @pytest.mark.parametrize("preset", [toy_config, paper_config], ids=["toy", "paper"])
+    def test_clips_alone_and_batched(self, preset):
+        feat = preset().features
+        sr, n = feat.sample_rate, feat.sample_rate // 2
+        rng = np.random.default_rng(5)
+        clips = np.stack([synthetic_clip(rng, sr, n) for _ in range(3)]
+                         + [np.zeros(n), rng.normal(0.0, 3e-5, n)])  # silent, near-silent
+        batched = voicing_per_frame(clips, feat.window_length, feat.hop_length, sr)
+        assert batched.max() > 0.8 and np.all(batched[3:] == 0.0)
+        for clip, scores in zip(clips, batched):
+            frames = frame_signal(clip, feat.window_length, feat.hop_length)
+            want = np.array([reference_voicing_score(f, sr) for f in frames])
+            assert np.array_equal(scores, want)
+            assert np.array_equal(voicing_per_frame(clip, feat.window_length,
+                                                    feat.hop_length, sr), want)
+
+    # widths with no lag (W - 1 < lag_min), exactly one (W - 1 == lag_min), two, many
+    @pytest.mark.parametrize("sr,width", [(8000, 20), (8000, 21), (8000, 22), (8000, 161),
+                                          (16000, 40), (16000, 41), (16000, 42), (16000, 639)])
+    def test_frame_widths(self, sr, width):
+        rng = np.random.default_rng(width)
+        t = np.arange(width) / sr
+        frames = rng.normal(0.0, 0.1, (2, 3, width)) + np.sin(2 * np.pi * 300.0 * t)
+        frames[0, 1] = 0.0
+        got = voicing_score(frames, sr)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, [[reference_voicing_score(f, sr) for f in row]
+                                    for row in frames])
+        assert voicing_score(frames[1, 2], sr) == got[1, 2]
 
 
 def measured_snr_db(mixed, clean):
@@ -234,6 +292,33 @@ class TestDataset:
         v = dataset.voicing
         assert (v > 0.8).mean() > 0.2
         assert (v < 0.5).mean() > 0.05
+
+    @pytest.mark.parametrize("clips_per_call", [1, 4, None])  # None: the default cap
+    def test_voicing_is_each_clips_own(self, monkeypatch, clips_per_call):
+        cfg = short_cfg()
+        feat = cfg.features
+        if clips_per_call is not None:
+            n = int(round(cfg.train.clip_seconds * feat.sample_rate))
+            monkeypatch.setattr(trainer, "VOICING_CHUNK_SAMPLES", clips_per_call * n)
+        dataset = ClipDataset.synthetic(cfg, n_clips=6, n_noises=0)
+        per_clip = [voicing_per_frame(c, feat.window_length, feat.hop_length, feat.sample_rate)
+                    for c in dataset.clips]
+        assert np.array_equal(dataset.voicing, per_clip)
+
+    def test_voicing_memory_does_not_grow_with_the_dataset(self, monkeypatch):
+        cfg = short_cfg()
+        n = int(round(cfg.train.clip_seconds * cfg.features.sample_rate))
+        monkeypatch.setattr(trainer, "VOICING_CHUNK_SAMPLES", 2 * n)
+        rng = np.random.default_rng(3)
+        clips = [rng.normal(0.0, 0.1, n) for _ in range(48)]
+        tracemalloc.start()
+        try:
+            ClipDataset(cfg, clips, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two clips per call peak near 29 clips' worth of samples; all 48 at once near 490
+        assert peak < 48 * n * 8
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_noise_burst_has_requested_length(self, n):
