@@ -30,9 +30,10 @@ print(f"{train_frames.shape[0]} frames of {train_frames.shape[1]} log mel bins")
 print("\n== fit KLT + split VQ ==")
 model = q.fit_quantizer(train_frames, cfg.quantizer, cfg.digest())
 eig = model.klt.eigenvalues
-coded = model.vq.allocations > 0
-print(f"eigenvalue mass in coded splits: {eig[:2 * coded.sum()].sum() / eig.sum():.3f}")
-print(f"bit allocations (nonzero): {[int(b) for b in model.vq.allocations if b > 0]}")
+coded = model.vq.coded()  # (columns, codebook, bits) of each split given bits
+coded_mass = sum(eig[cols].sum() for cols, _, _ in coded)
+print(f"eigenvalue mass in coded splits: {coded_mass / eig.sum():.3f}")
+print(f"bit allocations (nonzero): {[bits for _, _, bits in coded]}")
 print(f"total bits per supervector: {model.vq.bits_per_vector}")
 
 print("\n== encode 10 s, check the rate ==")

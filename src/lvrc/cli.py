@@ -51,18 +51,12 @@ def cmd_fit_quantizer(args) -> int:
     model.save(args.out)
 
     eig = model.klt.eigenvalues
-    coded = model.vq.allocations > 0
-    split_dim = cfg.quantizer.split_dim
-    coded_mass = sum(
-        eig[j * split_dim : (j + 1) * split_dim].sum()
-        for j in np.flatnonzero(coded)
-    )
+    coded = model.vq.coded()
+    coded_mass = sum(eig[cols].sum() for cols, _, _ in coded)
     print(f"fitted on {len(frames)} frames -> {args.out}")
     print(f"eigenvalue mass captured by coded splits: {coded_mass / eig.sum():.4f}")
     print("split allocation (split: bits):")
-    line = ", ".join(
-        f"{j}:{int(b)}" for j, b in enumerate(model.vq.allocations) if b > 0
-    )
+    line = ", ".join(f"{cols.start // model.vq.split_dim}:{bits}" for cols, _, bits in coded)
     print(f"  {line if line else '(none)'}")
     print(f"total = {model.vq.bits_per_vector} bits per supervector")
     return 0

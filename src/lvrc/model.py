@@ -152,19 +152,22 @@ class CodecModel:
         write_container(path, CHECKPOINT_MAGIC, digest, arrays)
 
     def load_checkpoint(self, path, expected_digest: bytes | None = None):
+        """Read weights, masks and step; a rejected checkpoint changes nothing."""
         digest, arrays = read_container(path, CHECKPOINT_MAGIC, expected_digest)
-        for p in self.parameters():
-            value = entry(arrays, f"param/{p.name}")
-            if value.shape != p.value.shape:
+        params = self.parameters()
+        for p in params:
+            if entry(arrays, f"param/{p.name}").shape != p.value.shape:
                 raise FormatError(f"checkpoint shape mismatch for {p.name}")
-            p.value = value.astype(self.dtype).copy()
             mask = arrays.get(f"mask/{p.name}")
             if mask is not None and mask.shape != p.value.shape:
                 raise FormatError(f"checkpoint mask shape mismatch for {p.name}")
-            p.mask = None if mask is None else mask.astype(self.dtype).copy()
         step = int(entry(arrays, "step", 1)[0])
         if step < 0:
             raise FormatError(f"checkpoint step {step} is negative")
+        for p in params:
+            p.value = arrays[f"param/{p.name}"].astype(self.dtype).copy()
+            mask = arrays.get(f"mask/{p.name}")
+            p.mask = None if mask is None else mask.astype(self.dtype).copy()
         return step, arrays
 
     # -- forward pieces ------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import expit
 
 from .container import entry
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 
 
 @dataclass
@@ -42,12 +42,6 @@ class Parameter:
     def apply_mask(self) -> None:
         if self.mask is not None:
             self.value *= self.mask
-
-    @property
-    def sparsity(self) -> float:
-        if self.mask is None:
-            return 0.0
-        return float(1.0 - self.mask.mean())
 
 
 def init_weight(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype=np.float64) -> np.ndarray:
@@ -448,12 +442,18 @@ class Adam:
 
     def load_state(self, arrays: dict[str, np.ndarray], params: list[Parameter],
                    step_count: int) -> None:
-        self.step_count = step_count
+        """Restore the moment slots; FormatError, with nothing changed, if a
+        slot is missing its pair or its shape is not its parameter's."""
+        slots = {}
         for p in params:
             m_key, v_key = f"adam_m/{p.name}", f"adam_v/{p.name}"
             if m_key in arrays:
-                self.slots[p.name] = (arrays[m_key].astype(p.value.dtype).copy(),
-                                      entry(arrays, v_key).astype(p.value.dtype).copy())
+                m, v = arrays[m_key], entry(arrays, v_key)
+                if m.shape != p.value.shape or v.shape != p.value.shape:
+                    raise FormatError(f"optimizer state shape mismatch for {p.name}")
+                slots[p.name] = (m.astype(p.value.dtype).copy(), v.astype(p.value.dtype).copy())
+        self.step_count = step_count
+        self.slots.update(slots)
 
 
 @dataclass

@@ -95,6 +95,11 @@ def invert_klt(coefficients: np.ndarray, model: KLTModel) -> np.ndarray:
     return coefficients @ model.basis.T + model.mean
 
 
+def split_slices(dim: int, split_dim: int) -> list[slice]:
+    """The columns of each split: runs of `split_dim`, the last run may be short."""
+    return [slice(lo, min(lo + split_dim, dim)) for lo in range(0, dim, split_dim)]
+
+
 def allocate_bits(eigenvalues: np.ndarray, split_dim: int, total_bits: int,
                   max_bits_per_split: int = 8) -> np.ndarray:
     """Greedy allocation over consecutive splits of the eigenvalue vector.
@@ -104,13 +109,13 @@ def allocate_bits(eigenvalues: np.ndarray, split_dim: int, total_bits: int,
     index, capped at max_bits_per_split.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    n_splits = (len(eigenvalues) + split_dim - 1) // split_dim
+    splits = split_slices(len(eigenvalues), split_dim)
     if total_bits < 0:
         raise ConfigError("total_bits must be >= 0")
-    if total_bits > n_splits * max_bits_per_split:
+    if total_bits > len(splits) * max_bits_per_split:
         raise ConfigError("total_bits exceeds n_splits * max_bits_per_split")
-    mass = np.array([eigenvalues[i * split_dim : (i + 1) * split_dim].sum() for i in range(n_splits)])
-    bits = np.zeros(n_splits, dtype=np.int64)
+    mass = np.array([eigenvalues[cols].sum() for cols in splits])
+    bits = np.zeros(len(splits), dtype=np.int64)
     for _ in range(total_bits):
         priority = mass / np.power(4.0, bits)
         priority[bits >= max_bits_per_split] = -np.inf
@@ -151,17 +156,20 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
            iters: int = 50, tol: float = 1e-6):
     """Lloyd iterations with k-means++ seeding.
 
-    Empty clusters are re-seeded to the point farthest from its assigned
-    centroid. Returns (centroids, mean squared distortion trace).
+    Each iteration moves the centroids to their members' means and then
+    runs one nearest-centroid search, whose assignment the next iteration
+    starts from. Empty clusters are re-seeded to the point farthest from
+    its assigned centroid. Returns (centroids, mean squared distortion
+    trace).
     """
     points = np.asarray(points, dtype=np.float64)
     if len(points) < k:
         raise ConfigError(f"need at least {k} points to fit {k} centroids")
     centroids = _kmeans_pp_init(points, k, rng)
+    assign, d2 = _nearest(points, centroids)
     trace = []
     prev = np.inf
     for _ in range(iters):
-        assign, d2 = _nearest(points, centroids)
         for j in range(k):
             members = assign == j
             if members.any():
@@ -173,7 +181,7 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
         assign, d2 = _nearest(points, centroids)
         dist = float(d2.mean())
         trace.append(dist)
-        if prev != np.inf and abs(prev - dist) < tol * max(dist, 1e-30):
+        if abs(prev - dist) < tol * max(dist, 1e-30):
             break
         prev = dist
     return centroids, trace
@@ -188,31 +196,27 @@ class SplitVQModel:
     codebooks: list[np.ndarray]  # entry j has shape (2**allocations[j], <=split_dim)
 
     @property
-    def n_splits(self) -> int:
-        return len(self.allocations)
-
-    @property
     def bits_per_vector(self) -> int:
         return int(self.allocations.sum())
+
+    def coded(self) -> list[tuple[slice, np.ndarray, int]]:
+        """(columns, codebook, bits) of each split given bits, in split order."""
+        dim = sum(cb.shape[1] for cb in self.codebooks)
+        return [(cols, cb, int(bits)) for cols, bits, cb in
+                zip(split_slices(dim, self.split_dim), self.allocations, self.codebooks) if bits]
 
 
 def fit_codebooks(coefficients: np.ndarray, allocations: np.ndarray,
                   cfg: QuantizerConfig) -> SplitVQModel:
     coefficients = np.asarray(coefficients, dtype=np.float64)
     allocations = np.asarray(allocations, dtype=np.int64)
+    splits = split_slices(coefficients.shape[1], cfg.split_dim)
     codebooks = []
-    for j, bits in enumerate(allocations):
-        lo, hi = j * cfg.split_dim, (j + 1) * cfg.split_dim
-        width = min(hi, coefficients.shape[1]) - lo
-        if bits == 0:
-            codebooks.append(np.zeros((1, width)))
-            continue
+    for j, (cols, bits) in enumerate(zip(splits, allocations)):
         rng = np.random.default_rng([cfg.seed, j])
-        centroids, _ = kmeans(
-            coefficients[:, lo : lo + width], 2**int(bits), rng,
-            iters=cfg.kmeans_iters, tol=cfg.kmeans_tol,
-        )
-        codebooks.append(centroids)
+        codebooks.append(kmeans(coefficients[:, cols], 2**int(bits), rng,
+                                iters=cfg.kmeans_iters, tol=cfg.kmeans_tol)[0]
+                         if bits else np.zeros((1, cols.stop - cols.start)))
     return SplitVQModel(cfg.split_dim, allocations, codebooks)
 
 
@@ -252,13 +256,13 @@ class QuantizerModel:
         codebooks = [np.asarray(entry(arrays, f"codebook/{j}"), dtype=np.float64)
                      for j in range(len(bits))]
         dim = mean.size
+        splits = split_slices(dim, split_dim) if split_dim >= 1 else []
         if not (stack >= 1 and split_dim >= 1 and dim % stack == 0
                 and mean.shape == eig.shape == (dim,) and basis.shape == (dim, dim)
-                and bits.shape == ((dim + split_dim - 1) // split_dim,)
+                and bits.shape == (len(splits),)
                 # bits is bounded before 2**bits is formed
-                and all(0 <= b <= 32 and cb.shape == (2**b if b else 1,
-                                                      min(split_dim, dim - j * split_dim))
-                        for j, (b, cb) in enumerate(zip(bits.tolist(), codebooks)))):
+                and all(0 <= b <= 32 and cb.shape == (2**b, cols.stop - cols.start)
+                        for cols, b, cb in zip(splits, bits.tolist(), codebooks))):
             raise FormatError("quantizer model entries have inconsistent shapes")
         klt = KLTModel(mean, basis, eig, bool(rank_deficient))
         return cls(klt, SplitVQModel(split_dim, bits, codebooks), stack, digest, seed)
@@ -284,33 +288,19 @@ def fit_quantizer(frames: np.ndarray, cfg: QuantizerConfig, digest: bytes) -> Qu
 
 def quantize_indices(frames: np.ndarray, model: QuantizerModel) -> np.ndarray:
     """Nearest-centroid index per (supervector, coded split)."""
-    supervectors = stack_supervectors(frames, model.stack)
-    coefficients = apply_klt(supervectors, model.klt)
-    columns = []
-    for j, bits in enumerate(model.vq.allocations):
-        if bits == 0:
-            continue
-        lo = j * model.vq.split_dim
-        cb = model.vq.codebooks[j]
-        idx, _ = _nearest(coefficients[:, lo : lo + cb.shape[1]], cb)
-        columns.append(idx)
-    if not columns:
-        return np.zeros((len(supervectors), 0), dtype=np.int64)
-    return np.stack(columns, axis=1)
+    coefficients = apply_klt(stack_supervectors(frames, model.stack), model.klt)
+    coded = model.vq.coded()
+    indices = np.zeros((len(coefficients), len(coded)), dtype=np.int64)
+    for col, (cols, cb, _) in enumerate(coded):
+        indices[:, col] = _nearest(coefficients[:, cols], cb)[0]
+    return indices
 
 
 def reconstruct_from_indices(indices: np.ndarray, n_super: int, model: QuantizerModel) -> np.ndarray:
     """Centroid lookup, inverse KLT, unstack back to frames."""
-    dim = model.klt.mean.shape[0]
-    coefficients = np.zeros((n_super, dim))
-    col = 0
-    for j, bits in enumerate(model.vq.allocations):
-        if bits == 0:
-            continue
-        lo = j * model.vq.split_dim
-        cb = model.vq.codebooks[j]
-        coefficients[:, lo : lo + cb.shape[1]] = cb[indices[:, col]]
-        col += 1
+    coefficients = np.zeros((n_super, model.klt.mean.shape[0]))
+    for col, (cols, cb, _) in enumerate(model.vq.coded()):
+        coefficients[:, cols] = cb[indices[:, col]]
     supervectors = invert_klt(coefficients, model.klt)
     return unstack_supervectors(supervectors, model.stack)
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, bitstreams, exit codes."""
 
+import copy
 import csv
 import os
 import subprocess
@@ -13,7 +14,8 @@ from lvrc import cli
 from lvrc import quantizer as q
 from lvrc.audio import AudioBuffer, load_wav, save_wav
 from lvrc.config import paper_config, toy_config
-from lvrc.model import CodecModel
+from lvrc.container import read_container, write_container
+from lvrc.model import CHECKPOINT_MAGIC, CodecModel
 from lvrc.trainer import synthetic_clip
 
 
@@ -292,6 +294,20 @@ class TestTrain:
         assert ((tmp_path / "resumed" / "model.ckpt").read_bytes()
                 == (tmp_path / "fresh" / "model.ckpt").read_bytes())
 
+
+    def test_resume_from_a_malformed_optimizer_state_exits_3(self, env, tmp_path, capsys):
+        digest, arrays = read_container(env["ckpt"], CHECKPOINT_MAGIC)
+        arrays["adam_m/out.b"] = np.zeros(3)
+        bad = tmp_path / "bad.ckpt"
+        write_container(bad, CHECKPOINT_MAGIC, digest, arrays)
+        cfg = copy.deepcopy(env["cfg"])
+        cfg.train.steps += 1  # the resume runs a step, which a bad slot would crash
+        cfg_path = tmp_path / "toy.cfg"
+        cfg.save(cfg_path)
+        rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "run"),
+                       "--resume", str(bad)])
+        assert rc == 3
+        assert "optimizer state shape mismatch for out.b" in capsys.readouterr().err
 
     def test_empty_noise_file_exits_2_without_traceback(self, env, tmp_path):
         sr = env["cfg"].features.sample_rate

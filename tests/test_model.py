@@ -370,6 +370,22 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="mask shape"):
             model.load_checkpoint(path)
 
+    @pytest.mark.parametrize("damage", ["mask/out.w", "param/out.b", "step"])
+    def test_rejected_checkpoint_leaves_the_model_as_it_was(self, tmp_path, damage):
+        """Every entry is checked before any is assigned: out.w and out.b are
+        the last parameters read, and the step is read after them."""
+        path = tmp_path / "m.ckpt"
+        tiny_model(seed=14).save_checkpoint(path, b"\x07" * 8, step=1)
+        digest, arrays = read_container(path, CHECKPOINT_MAGIC)
+        arrays[damage] = np.array([-1])  # shape (1,), or a negative step
+        write_container(path, CHECKPOINT_MAGIC, digest, arrays)
+        model = tiny_model(seed=999)
+        before = model.weights_checksum()
+        with pytest.raises(FormatError):
+            model.load_checkpoint(path)
+        assert model.weights_checksum() == before
+        assert all(p.mask is None for p in model.parameters())
+
     def test_digest_mismatch_rejected(self, tmp_path):
         from lvrc.errors import DigestError
 

@@ -95,6 +95,20 @@ class TestKLT:
         assert np.all(model.eigenvalues > 0.0)
 
 
+class TestSplits:
+    def test_runs_of_split_dim_with_a_short_last_run(self):
+        assert q.split_slices(5, 2) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+        assert q.split_slices(6, 3) == [slice(0, 3), slice(3, 6)]
+        assert q.split_slices(0, 2) == []
+
+    def test_coded_lists_the_splits_given_bits(self):
+        cb = [np.zeros((4, 2)), np.zeros((1, 2)), np.zeros((2, 1))]
+        vq = q.SplitVQModel(2, np.array([2, 0, 1]), cb)
+        coded = vq.coded()
+        assert [(cols, bits) for cols, _, bits in coded] == [(slice(0, 2), 2), (slice(4, 5), 1)]
+        assert coded[0][1] is cb[0] and coded[1][1] is cb[2]
+
+
 class TestBitAllocation:
     def test_uniform_for_equal_eigenvalues(self):
         bits = q.allocate_bits(np.ones(8), 2, 12, 8)
@@ -146,6 +160,40 @@ class TestKMeans:
     def test_too_few_points_rejected(self):
         with pytest.raises(ConfigError):
             q.kmeans(np.zeros((3, 2)), 4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("case", ["gaussian", "clusters", "duplicates"])
+    def test_one_search_per_iteration_matches_two(self, case, monkeypatch):
+        """Searching again at the start of an iteration, on the centroids the
+        last search used, gives the same centroids and trace bit for bit;
+        "duplicates" has fewer distinct points than centroids, so clusters
+        go empty and are re-seeded."""
+        rng = np.random.default_rng(8)
+        pts = {"gaussian": rng.normal(0, 1, (600, 2)),
+               "clusters": rng.normal(0, 3, (6, 2))[rng.integers(0, 6, 3000)]
+               + rng.normal(0, 0.3, (3000, 2)),
+               "duplicates": np.repeat(rng.normal(0, 1, (5, 2)), 20, axis=0)}[case]
+        centroids = q._kmeans_pp_init(pts, 8, np.random.default_rng(1))
+        trace, prev = [], np.inf
+        for _ in range(50):  # Lloyd with a search before and after each update
+            assign, d2 = q._nearest(pts, centroids)
+            for j in range(8):
+                if (assign == j).any():
+                    centroids[j] = pts[assign == j].mean(axis=0)
+                else:
+                    far = int(np.argmax(d2))
+                    centroids[j], d2[far] = pts[far], 0.0
+            _, d2 = q._nearest(pts, centroids)
+            trace.append(float(d2.mean()))
+            if abs(prev - trace[-1]) < 1e-6 * max(trace[-1], 1e-30):
+                break
+            prev = trace[-1]
+
+        calls = []
+        nearest = q._nearest
+        monkeypatch.setattr(q, "_nearest", lambda *a: calls.append(1) or nearest(*a))
+        got, got_trace = q.kmeans(pts, 8, np.random.default_rng(1))
+        assert np.array_equal(got, centroids) and got_trace == trace
+        assert len(calls) == len(trace) + 1
 
 
 class TestPacking:
@@ -242,6 +290,19 @@ class TestEncodeDecode:
         loaded = q.QuantizerModel.load(p1, expected_digest=b"\x01" * 8)
         assert np.array_equal(loaded.klt.basis, model.klt.basis)
         assert np.array_equal(loaded.vq.allocations, model.vq.allocations)
+
+    def test_short_last_split(self, tmp_path):
+        _, frames = toy_feature_frames()
+        qc = QuantizerConfig(stack=2, bits_per_supervector=24, split_dim=3, max_bits_per_split=6)
+        model = q.fit_quantizer(frames, qc, digest=b"\x01" * 8)
+        assert [cb.shape[1] for cb in model.vq.codebooks] == [3] * 10 + [2]
+        path = tmp_path / "m.lvrq"
+        model.save(path)
+        loaded = q.QuantizerModel.load(path)
+        indices = q.quantize_indices(frames[:20], loaded)
+        assert indices.shape == (10, len(loaded.vq.coded()))
+        decoded = q.decode(q.encode(frames[:20], loaded), loaded)
+        assert np.array_equal(decoded, q.reconstruct_from_indices(indices, 10, loaded))
 
     @pytest.mark.parametrize("damage", ["no meta", "short meta", "no codebook", "stack 0",
                                         "split_dim 3", "codebook rows"])
