@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import time
 
 import numpy as np
 
@@ -97,12 +98,16 @@ def cmd_decode(args) -> int:
         print(f"decoded 0 frames -> {args.output}")
         return 0
     rng = np.random.default_rng(args.seed)
-    audio = model.generate(frames, rng, seconds=n_samples / cfg.features.sample_rate)
+    seconds = n_samples / cfg.features.sample_rate
+    start = time.perf_counter()
+    audio = model.generate(frames, rng, seconds=seconds)
+    wall = time.perf_counter() - start
     samples = audio.samples
     if len(samples) < n_samples:
         samples = np.pad(samples, (0, n_samples - len(samples)))
     save_wav(args.output, AudioBuffer(samples[:n_samples], cfg.features.sample_rate))
-    print(f"decoded {len(frames)} frames ({n_samples / cfg.features.sample_rate:.3f} s) -> {args.output}")
+    print(f"decoded {len(frames)} frames ({seconds:.3f} s) in {wall:.3f} s, "
+          f"RTF {wall / seconds:.3f} -> {args.output}")
     return 0
 
 

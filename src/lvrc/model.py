@@ -13,6 +13,11 @@ sampled band values back and recombines bands with the synthesis
 filterbank. Since the GRU's input gates are linear in the input,
 generation computes the conditioning's share once per conditioning frame
 and adds only the previous samples' share at each step.
+
+Generation's step loop runs in float32 by default, on float32 copies made
+once per call; `generate(..., dtype=np.float64)` runs it in float64.
+Training, teacher forcing, the conditioning stack and checkpoints keep
+the model's dtype, float64 unless the config says otherwise.
 """
 
 from __future__ import annotations
@@ -277,13 +282,21 @@ class CodecModel:
         self.cond.backward(d_cond, acts)
         return result
 
-    def generate(self, mels: np.ndarray, rng: np.random.Generator, seconds: float) -> AudioBuffer:
+    def generate(self, mels: np.ndarray, rng: np.random.Generator, seconds: float,
+                 dtype=np.float32) -> AudioBuffer:
         """Autoregressive sampling for `seconds` of audio.
 
         Per step and band the mixture component is chosen first, then the
         logistic is sampled by transforming a uniform; band samples are
         clamped to [-1, 1] before being fed back. Output length is
         seconds * sample_rate rounded down to a multiple of n_bands.
+
+        The step loop runs in `dtype`: the GRU state, the fed-back samples
+        and `dtype` copies of the input gates, the recurrent matrices and
+        the output layer, made once per call. float32 halves the bytes each
+        step reads; float64 is the loop the model was trained in. The
+        conditioning stack runs in the model's dtype, the parameters are
+        not touched, and the band samples and the output are float64.
         """
         cfg = self.cfg
         steps = int(seconds * cfg.sample_rate) // cfg.n_bands
@@ -297,20 +310,24 @@ class CodecModel:
         # known before the loop: the conditioning's gates once per frame,
         # and in_proj folded into U so the samples add an (N, 3H) product.
         gru = self.gru
-        cond_gates = gru.input_gates(cond[0] + self.in_proj_b.value)
-        fold = gru.input_gates(self.in_proj_w.value.T, bias=False)
-        weights = gru.step_weights()
-        out_w, out_b = self.out_w.value, self.out_b.value
-        h = np.zeros((1, cfg.gru_state), self.dtype)
-        prev = np.zeros(cfg.n_bands, self.dtype)
+
+        def cast(a):  # no copy when `a` is already `dtype`
+            return a.astype(dtype, copy=False)
+
+        cond_gates = cast(gru.input_gates(cond[0] + self.in_proj_b.value))
+        fold = cast(gru.input_gates(self.in_proj_w.value.T, bias=False))
+        weights = [cast(w) for w in gru.step_weights()]
+        out_w, out_b = cast(self.out_w.value), cast(self.out_b.value)
+        h = np.zeros((1, cfg.gru_state), dtype)
+        prev = np.zeros(cfg.n_bands, dtype)
         noise = mol.sample_noise(rng, steps, cfg.n_bands)
-        rows = np.empty((steps, cfg.n_bands), self.dtype)
+        rows = np.empty((steps, cfg.n_bands))
         for t in range(steps):
             h = gru.step((cond_gates[t // tile] + prev @ fold)[None], h, weights)
             flat = dense_forward(h, out_w, out_b).reshape(cfg.n_bands, -1)
             sample = np.minimum(np.maximum(mol.sample(flat, noise[t]), -1.0), 1.0)
             rows[t] = sample
-            prev = sample.astype(self.dtype)
+            prev = sample.astype(dtype)
         waveform = self.filterbank.synthesize(rows.T)
         delay = self.filterbank.group_delay
         out = waveform[delay : delay + steps * cfg.n_bands]

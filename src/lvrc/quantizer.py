@@ -70,7 +70,7 @@ def fit_klt(data: np.ndarray) -> KLTModel:
     basis = basis[:, order]
     flips = np.sign(basis[np.argmax(np.abs(basis), axis=0), np.arange(dim)])
     flips[flips == 0] = 1.0
-    basis = basis * flips
+    basis = np.ascontiguousarray(basis * flips)  # the C order `QuantizerModel.load` returns
 
     eigenvalues = np.maximum(eigenvalues, 0.0)
     rank_deficient = n <= dim

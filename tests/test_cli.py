@@ -3,6 +3,7 @@
 import copy
 import csv
 import os
+import re
 import subprocess
 import sys
 
@@ -161,6 +162,23 @@ class TestDecode:
         source_frames = 2 * cfg.features.sample_rate // cfg.features.hop_length + 1
         coded_frames = (source_frames // cfg.quantizer.stack) * cfg.quantizer.stack
         assert len(decoded) == coded_frames * cfg.features.hop_length
+
+    def test_summary_reports_decode_time_and_rtf(self, env, bitstream, capsys):
+        out = env["root"] / "timed.wav"
+        rc = cli.main([
+            "decode", "--config", str(env["cfg_path"]), "--quantizer", str(env["quant"]),
+            "--model", str(env["ckpt"]), str(bitstream), str(out),
+        ])
+        assert rc == 0
+        line = capsys.readouterr().out.strip()
+        match = re.fullmatch(r"decoded (\d+) frames \(([\d.]+) s\) in ([\d.]+) s, "
+                             r"RTF ([\d.]+) -> (.+)", line)
+        assert match, line
+        frames, seconds, wall, rtf, path = match.groups()
+        assert float(seconds) == pytest.approx(
+            int(frames) * env["cfg"].features.hop_length / env["cfg"].features.sample_rate)
+        assert float(wall) > 0.0 and path == str(out)
+        assert float(rtf) == pytest.approx(float(wall) / float(seconds), abs=2e-3)
 
     def test_same_seed_bit_identical(self, env, bitstream):
         a, b = env["root"] / "a.wav", env["root"] / "b.wav"

@@ -240,18 +240,55 @@ def reference_generate(model, mels, rng, seconds):
     return waveform[delay : delay + steps * cfg.n_bands]
 
 
+def biased_tiny_model(blocks):
+    """A tiny model with random biases (they start at zero), and mels for it."""
+    model = tiny_model(seed=15, gru_blocks=blocks)
+    rng = np.random.default_rng(16)
+    for p in (model.in_proj_b, *(model.gru.params[f"b{g}"] for g in "zrh")):
+        p.value[...] = rng.normal(0.0, 0.5, p.value.shape)
+    return model, rng.uniform(-12, 0, (8, 5))
+
+
 class TestGenerate:
     @pytest.mark.parametrize("blocks", [1, 4])
     def test_matches_layer_by_layer_reference(self, blocks):
-        model = tiny_model(seed=15, gru_blocks=blocks)
-        rng = np.random.default_rng(16)
-        for p in (model.in_proj_b, *(model.gru.params[f"b{g}"] for g in "zrh")):
-            p.value[...] = rng.normal(0.0, 0.5, p.value.shape)  # biases start at zero
-        mels = rng.uniform(-12, 0, (8, 5))
-        fast = model.generate(mels, np.random.default_rng(17), seconds=0.25).samples
+        model, mels = biased_tiny_model(blocks)
+        fast = model.generate(mels, np.random.default_rng(17), seconds=0.25,
+                              dtype=np.float64).samples
         slow = reference_generate(model, mels, np.random.default_rng(17), seconds=0.25)
         assert len(fast) == len(slow) == 200
         assert np.max(np.abs(fast - slow)) <= 1e-12
+
+    @pytest.mark.parametrize("blocks", [1, 4])
+    def test_float32_decode_agrees_with_float64(self, blocks):
+        """The default float32 loop tracks the float64 one sample for sample.
+
+        An H-term float32 dot product is rounded by at most about H * eps32
+        = 8 * 1.19e-7 = 9.5e-7 of the sum of its terms' magnitudes. The
+        GRU's sums and the output layer's locations are such products over
+        a state in [-1, 1], the GRU update is a convex blend, so the state's
+        rounding does not grow from step to step, and the synthesis
+        filterbank sums band samples with gain about 1. 1e-5, ten times
+        H * eps32, leaves room for those magnitudes; over 20 seeds the
+        largest difference was 2.8e-7. A mixture component picked
+        differently would move a sample by 1e-2 or more.
+        """
+        model, mels = biased_tiny_model(blocks)
+        single = model.generate(mels, np.random.default_rng(17), seconds=0.25).samples
+        double = model.generate(mels, np.random.default_rng(17), seconds=0.25,
+                                dtype=np.float64).samples
+        assert len(single) == len(double) == 200
+        assert np.max(np.abs(single - double)) <= 1e-5
+
+    def test_float32_decode_is_reproducible_and_leaves_the_model_float64(self):
+        model = tiny_model(seed=20, gru_blocks=4)
+        before = model.weights_checksum()
+        mels = np.random.default_rng(21).uniform(-12, 0, (8, 5))
+        a = model.generate(mels, np.random.default_rng(22), seconds=0.25).samples
+        b = model.generate(mels, np.random.default_rng(22), seconds=0.25).samples
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+        assert all(p.value.dtype == np.float64 for p in model.parameters())
+        assert model.weights_checksum() == before
 
     def test_one_gru_step_and_one_draw_per_decode_step(self, monkeypatch):
         counts = {"step": 0, "sample": 0}

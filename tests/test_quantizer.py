@@ -291,6 +291,22 @@ class TestEncodeDecode:
         assert np.array_equal(loaded.klt.basis, model.klt.basis)
         assert np.array_equal(loaded.vq.allocations, model.vq.allocations)
 
+    @pytest.mark.parametrize("split_dim", [2, 3])
+    def test_fitted_and_reloaded_models_reconstruct_the_same_bits(self, tmp_path, split_dim):
+        # the fitted basis is C-ordered like the loaded one, so the KLT products agree
+        _, frames = toy_feature_frames()
+        qc = QuantizerConfig(stack=2, bits_per_supervector=24, split_dim=split_dim,
+                             max_bits_per_split=6)
+        model = q.fit_quantizer(frames, qc, digest=b"\x01" * 8)
+        assert model.klt.basis.flags.c_contiguous
+        model.save(tmp_path / "m.lvrq")
+        loaded = q.QuantizerModel.load(tmp_path / "m.lvrq")
+        for n_super in (1, 10, len(frames) // 2):  # BLAS takes other paths at other sizes
+            indices = q.quantize_indices(frames[: 2 * n_super], model)
+            assert np.array_equal(q.quantize_indices(frames[: 2 * n_super], loaded), indices)
+            assert np.array_equal(q.reconstruct_from_indices(indices, n_super, loaded),
+                                  q.reconstruct_from_indices(indices, n_super, model))
+
     def test_short_last_split(self, tmp_path):
         _, frames = toy_feature_frames()
         qc = QuantizerConfig(stack=2, bits_per_supervector=24, split_dim=3, max_bits_per_split=6)
