@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 import time
 
@@ -147,44 +148,45 @@ def cmd_eval(args) -> int:
     entries = parse_manifest(args.manifest)
     missing = []
     feat = cfg.features
-    with open(args.report, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVAL_HEADER)
-        for entry in entries:
-            try:
-                audio = load_wav(entry.clean_path)
-            except (OSError, FormatError) as exc:
-                missing.append(f"{entry.clean_path}: {exc}")
-                continue
-            frames = log_mel_features(audio, feat)
-            if len(frames) == 0:
-                missing.append(f"{entry.clean_path}: too short")
-                continue
-            voicing = voicing_per_frame(
-                audio.samples, feat.window_length, feat.hop_length, feat.sample_rate
-            )
-            stats = model.teacher_forced(audio.samples, frames, voicing=voicing[None],
-                                         compute_grads=False)
-            sigma = stats["sigma_all"][0]  # (T, N)
-            voiced = stats["weights"][0] > 0.8  # each step's frame voicing
-            sig_v = sigma[voiced]
+    report = io.StringIO()  # written out whole at the end: a failed run leaves the old report
+    writer = csv.writer(report)
+    writer.writerow(EVAL_HEADER)
+    for entry in entries:
+        try:
+            audio = load_wav(entry.clean_path)
+        except (OSError, FormatError) as exc:
+            missing.append(f"{entry.clean_path}: {exc}")
+            continue
+        frames = log_mel_features(audio, feat)
+        if len(frames) == 0:
+            missing.append(f"{entry.clean_path}: too short")
+            continue
+        voicing = voicing_per_frame(
+            audio.samples, feat.window_length, feat.hop_length, feat.sample_rate
+        )
+        stats = model.teacher_forced(audio.samples, frames, voicing=voicing[None],
+                                     compute_grads=False)
+        sigma = stats["sigma_all"][0]  # (T, N)
+        voiced = stats["weights"][0] > 0.8  # each step's frame voicing
+        sig_v = sigma[voiced]
 
-            lsd = np.nan
-            if qmodel is not None:
-                decoded = q.decode(q.encode(frames, qmodel), qmodel)
-                lsd = q.log_spectral_distortion_db(frames, decoded)
-            rebuilt = model.filterbank.round_trip(audio.samples)
-            snr = snr_db(audio.samples, rebuilt)
-            writer.writerow([
-                entry.clean_path,
-                f"{stats['nll'] / np.log(2.0):.6f}",
-                f"{sigma.mean():.6f}",
-                f"{np.percentile(sigma, 90):.6f}",
-                f"{np.mean(sig_v):.6f}" if voiced.any() else "nan",
-                f"{np.percentile(sig_v, 90):.6f}" if voiced.any() else "nan",
-                f"{lsd:.6f}",
-                f"{snr:.3f}",
-            ])
+        lsd = np.nan
+        if qmodel is not None:
+            decoded = q.decode(q.encode(frames, qmodel), qmodel)
+            lsd = q.log_spectral_distortion_db(frames, decoded)
+        rebuilt = model.filterbank.round_trip(audio.samples)
+        snr = snr_db(audio.samples, rebuilt)
+        writer.writerow([
+            entry.clean_path,
+            f"{stats['nll'] / np.log(2.0):.6f}",
+            f"{sigma.mean():.6f}",
+            f"{np.percentile(sigma, 90):.6f}",
+            f"{np.mean(sig_v):.6f}" if voiced.any() else "nan",
+            f"{np.percentile(sig_v, 90):.6f}" if voiced.any() else "nan",
+            f"{lsd:.6f}",
+            f"{snr:.3f}",
+        ])
+    write_file_atomic(args.report, report.getvalue().encode())
     for line in missing:
         print(f"missing: {line}", file=sys.stderr)
     print(f"wrote {args.report}")

@@ -64,14 +64,17 @@ def filter_center_frequencies(cfg: FeatureConfig) -> np.ndarray:
 
 
 def frame_signal(samples: np.ndarray, window: int, hop: int) -> np.ndarray:
-    """Center-aligned frames of (..., L) samples: (..., n_frames, window), none if L < window."""
+    """Center-aligned frames of (..., L) samples: (..., n_frames, window), none if L < window.
+
+    A read-only view of the reflect-padded signal, so no frame is copied
+    until a caller copies out the block of frames it works on.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape[-1] < window:
         return np.zeros(samples.shape[:-1] + (0, window))
     half = window // 2
     padded = np.pad(samples, [(0, 0)] * (samples.ndim - 1) + [(half, half)], mode="reflect")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, window, axis=-1)
-    return np.ascontiguousarray(windows[..., ::hop, :])  # C-ordered rows for voicing
+    return np.lib.stride_tricks.sliding_window_view(padded, window, axis=-1)[..., ::hop, :]
 
 
 @lru_cache(maxsize=16)

@@ -49,6 +49,10 @@ CHECKPOINT_MAGIC = b"LVRW"
 # delays), None marking a stride-2 transpose convolution; "proj" follows.
 _LAYERS = (("in", (1, 0, -1)), ("dil0", (1, 0)), ("dil1", (2, 0)), ("dil2", (4, 0)),
            ("up0", None), ("up1", None), ("up2", None))
+# Conditioning rows per chunk of a forward-only teacher-forced pass; a row
+# covers tile_factor steps, so a chunk is 160 steps at the toy preset and
+# 320 at the paper's, and the GRU buffers hold those steps alone.
+FORWARD_CHUNK_ROWS = 32
 
 
 class ConditioningStack:
@@ -182,6 +186,44 @@ class CodecModel:
         sample_pos = np.arange(n_steps) * self.cfg.n_bands
         return np.clip(np.round(sample_pos / self.hop).astype(np.int64), 0, n_frames - 1)
 
+    def _steps(self, prev, x, cond, h0, head):
+        """in_proj plus the tiled conditioning (step t reads row t // tile of
+        cond), the GRU from h0, the output layer and `mol.head_terms(x, ...,
+        *head)` over previous samples prev and targets x (B, T, N). Returns
+        (states, GRU cache, flat rows, HeadTerms); the first two view GRU buffers.
+        """
+        tile = self.cfg.tile_factor
+        xs = dense_forward(prev, self.in_proj_w.value, self.in_proj_b.value)
+        for j in range(tile):  # added in place for each offset j within a row
+            xs_j = xs[:, j::tile]
+            xs_j += cond[:, : xs_j.shape[1]]
+        hs, gru_cache = self.gru.forward_sequence(xs, h0)
+        flat = dense_forward(hs, self.out_w.value, self.out_b.value)
+        return hs, gru_cache, flat, mol.head_terms(x, flat.reshape(*x.shape, -1), *head)
+
+    def _forward_chunks(self, prev, x, cond, h, head):
+        """`_steps` over chunks of `FORWARD_CHUNK_ROWS` conditioning rows, the
+        state carried across. Returns the whole (B, T, ·) NLL, variance and
+        regularizer terms, and the maxima of |states| and |flat rows|.
+        """
+        batch, steps, n_bands = x.shape
+        tile = self.cfg.tile_factor
+        span = FORWARD_CHUNK_ROWS * tile
+        # mol's terms are float64 whatever the model's dtype
+        whole = [np.empty((batch, steps, n)) for n in (n_bands, n_bands, head[0])]
+        peak_h = peak_raw = 0.0
+        for lo in range(0, steps, span):
+            part = slice(lo, lo + span)
+            hs, _, flat, terms = self._steps(prev[:, part], x[:, part], cond[:, lo // tile :],
+                                             h, head)
+            for w, a in zip(whole, (terms.nll, terms.var, terms.reg)):
+                w[:, part] = a
+            peak_h = np.maximum(peak_h, np.abs(hs).max())  # NaN-propagating maxima
+            peak_raw = np.maximum(peak_raw, np.abs(flat).max())
+            h = hs[:, -1]  # forward_sequence copies h0 before it writes the states
+        self.gru.release()  # no backward follows, so the buffers go back now
+        return (*whole, (peak_h, peak_raw))
+
     def teacher_forced(self, audio, mels, nu: float = 0.0, regularizer: str = "log",
                        var_floor: float = 1e-4, reg_bands: int = 2,
                        voicing: np.ndarray | None = None, compute_grads: bool = True,
@@ -197,6 +239,10 @@ class CodecModel:
         The loss is mean(-log q) over all bands and steps plus
         nu * mean(voicing * reg_term) over the first `reg_bands` bands,
         with the voicing (B, frames) of the mel frame containing each step.
+
+        Without compute_grads the steps run in chunks (`_forward_chunks`),
+        so the GRU buffers and head rows are held for one chunk at a time;
+        the outputs keep the gradient pass's bits.
         """
         cfg = self.cfg
         mels = np.asarray(mels, dtype=self.dtype)
@@ -206,6 +252,8 @@ class CodecModel:
         bands = self.filterbank.analyze(audio)[..., : audio.shape[-1] // cfg.n_bands]
         bands = bands.astype(self.dtype)
         batch, n_bands, steps = bands.shape
+        if steps == 0:
+            raise ConfigError(f"audio needs at least {n_bands} samples, one per band")
         if not 1 <= reg_bands <= n_bands:
             raise ConfigError(f"reg_bands must be in 1..{n_bands}, got {reg_bands}")
         cond, acts = self.cond.forward(mels)
@@ -213,26 +261,19 @@ class CodecModel:
         if cond.shape[1] * tile < steps:
             raise ConfigError("conditioning shorter than the audio")
 
-        prev = np.concatenate(
-            [np.zeros((batch, n_bands, 1), self.dtype), bands[:, :, :-1]], axis=2
-        ).transpose(0, 2, 1)  # (B, T, N)
-        xs = dense_forward(prev, self.in_proj_w.value, self.in_proj_b.value)
-        # + the conditioning tiled to the band rate: step t reads frame
-        # t // tile, added in place for each offset j within a frame
-        for j in range(tile):
-            xs_j = xs[:, j::tile]
-            xs_j += cond[:, : xs_j.shape[1]]
+        x = bands.transpose(0, 2, 1)  # (B, T, N) targets
+        prev = np.concatenate([np.zeros((batch, 1, n_bands), self.dtype), x[:, :-1]], axis=1)
         h0 = np.zeros((batch, cfg.gru_state), self.dtype)
-        hs, gru_cache = self.gru.forward_sequence(xs, h0)
-        if not compute_grads:
-            self.gru.release()  # no backward follows, so the buffers go back now
-        flat = dense_forward(hs, self.out_w.value, self.out_b.value)
-        terms = mol.head_terms(bands.transpose(0, 2, 1),
-                               flat.reshape(batch, steps, n_bands, 3 * cfg.n_mix),
-                               reg_bands, var_floor, regularizer, baseline, compute_grads)
-        neg_ll = float(terms.nll.mean())
+        head = (reg_bands, var_floor, regularizer, baseline, compute_grads)
+        if compute_grads:
+            hs, gru_cache, flat, terms = self._steps(prev, x, cond, h0, head)
+            nll, var, reg = terms.nll, terms.var, terms.reg
+        else:
+            acts = None  # no backward reads the layer outputs
+            nll, var, reg, peaks = self._forward_chunks(prev, x, cond, h0, head)
+        neg_ll = float(nll.mean())
         loss = neg_ll
-        sigma_all = np.sqrt(np.maximum(terms.var, 0.0))
+        sigma_all = np.sqrt(np.maximum(var, 0.0))
 
         if voicing is None:
             weights = np.ones((batch, steps), self.dtype)
@@ -240,14 +281,14 @@ class CodecModel:
             voicing = np.asarray(voicing, dtype=self.dtype)
             frame_idx = self._frame_of_step(steps, voicing.shape[1])
             weights = voicing[:, frame_idx]
-        jvar = float(np.mean(weights[..., None] * terms.reg))
+        jvar = float(np.mean(weights[..., None] * reg))
         if nu != 0.0:
             loss = neg_ll + nu * jvar
         if not np.isfinite(loss):
-            raise NumericError(
-                f"non-finite loss (nll={neg_ll}, jvar={jvar}); "
-                f"max |h|={np.abs(hs).max():.3g}, max |raw|={np.abs(flat).max():.3g}"
-            )
+            if compute_grads:  # the chunks kept their running maxima
+                peaks = np.abs(hs).max(), np.abs(flat).max()
+            raise NumericError(f"non-finite loss (nll={neg_ll}, jvar={jvar}); "
+                               f"max |h|={peaks[0]:.3g}, max |raw|={peaks[1]:.3g}")
 
         result = {
             "loss": loss,
@@ -262,9 +303,9 @@ class CodecModel:
         if not compute_grads:
             return result
 
-        d_raw = (terms.d_nll * (1.0 / terms.nll.size)).astype(self.dtype, copy=False)
+        d_raw = (terms.d_nll * (1.0 / nll.size)).astype(self.dtype, copy=False)
         if nu != 0.0:
-            wr = (weights[..., None, None] * (nu / terms.reg.size)).astype(self.dtype)
+            wr = (weights[..., None, None] * (nu / reg.size)).astype(self.dtype)
             d_raw[:, :, :reg_bands] += wr * terms.d_reg
 
         d_hs, dw, db = dense_backward(hs, self.out_w.value, d_raw.reshape(flat.shape))

@@ -159,14 +159,19 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     Each iteration moves the centroids to their members' means and then
     runs one nearest-centroid search, whose assignment the next iteration
     starts from. Empty clusters are re-seeded to the point farthest from
-    its assigned centroid. Returns (centroids, mean squared distortion
-    trace).
+    its assigned centroid. It stops when the distortion changes by less
+    than `tol` of itself, or is zero to within the search's rounding
+    (every point on a centroid, as when there are fewer distinct points
+    than centroids). Returns (centroids, mean squared distortion trace).
     """
     points = np.asarray(points, dtype=np.float64)
     if len(points) < k:
         raise ConfigError(f"need at least {k} points to fit {k} centroids")
     centroids = _kmeans_pp_init(points, k, rng)
     assign, d2 = _nearest(points, centroids)
+    # `_nearest` expands |p - c|^2, so a point on its centroid reads up to
+    # a few ulps of |p|^2 instead of 0
+    zero = 4.0 * np.finfo(np.float64).eps * float(np.mean(np.sum(points**2, axis=1)))
     trace = []
     prev = np.inf
     for _ in range(iters):
@@ -181,7 +186,7 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
         assign, d2 = _nearest(points, centroids)
         dist = float(d2.mean())
         trace.append(dist)
-        if abs(prev - dist) < tol * max(dist, 1e-30):
+        if dist <= zero or abs(prev - dist) < tol * max(dist, 1e-30):
             break
         prev = dist
     return centroids, trace

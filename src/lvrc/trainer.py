@@ -27,7 +27,8 @@ from .model import CodecModel
 from .neural import Adam, PruningSchedule, prune_update
 
 METRICS_HEADER = ["step", "nll", "jvar", "sigma_mean", "sparsity"]
-# Clip samples per voicing call in ClipDataset (voicing holds ~9x its input: ~18 MiB).
+# Signal samples whose frames `voicing_per_frame` scores per call (voicing
+# holds ~9x those samples: ~18 MiB).
 VOICING_CHUNK_SAMPLES = 1 << 18
 
 
@@ -46,8 +47,8 @@ def voicing_score(frames: np.ndarray, sample_rate: int) -> np.ndarray:
     denominator is skipped. A frame scores 0 if its RMS is below 1e-4 or W allows
     fewer than two lags. It should span two periods of 50 Hz (2 * sample_rate / 50).
     """
-    frames = np.asarray(frames, dtype=np.float64)
-    rows = frames.reshape(-1, frames.shape[-1])  # C-ordered rows: reductions keep 1-D bits
+    frames = np.ascontiguousarray(frames, dtype=np.float64)  # C-ordered rows keep 1-D bits
+    rows = frames.reshape(-1, frames.shape[-1])
     best = np.zeros(len(rows))
     lags = range(max(2, sample_rate // 400), min(sample_rate // 50, rows.shape[1] - 1) + 1)
     if len(lags) > 1:
@@ -62,9 +63,31 @@ def voicing_score(frames: np.ndarray, sample_rate: int) -> np.ndarray:
     return np.clip(best, 0.0, 1.0).reshape(frames.shape[:-1])
 
 
-def voicing_per_frame(samples: np.ndarray, window: int, hop: int, sample_rate: int) -> np.ndarray:
-    """Voicing of each mel-frontend frame of samples (..., L), shape (..., n_frames)."""
-    return voicing_score(frame_signal(samples, window, hop), sample_rate)
+def voicing_per_frame(samples, window: int, hop: int, sample_rate: int) -> np.ndarray:
+    """Voicing of each mel-frontend frame of samples (..., L), shape (..., n_frames).
+
+    samples may also be a list of equal-length clips, scored as their stack
+    without the stack being built. Each call scores about
+    `VOICING_CHUNK_SAMPLES` samples' worth of frames: as many whole rows as
+    fit, or one row's frames a block at a time when a row is longer, so
+    neither a long signal nor a pool of clips is ever framed whole.
+    """
+    if isinstance(samples, list):
+        rows, lead, length = samples, (len(samples),), len(samples[0])
+    else:
+        samples = np.asarray(samples, dtype=np.float64)
+        lead, length = samples.shape[:-1], samples.shape[-1]
+        rows = samples.reshape(math.prod(lead), length)
+    n_frames = 0 if length < window else (length + 2 * (window // 2) - window) // hop + 1
+    rows_per_call = max(1, VOICING_CHUNK_SAMPLES // max(length, 1))
+    frames_per_call = max(1, VOICING_CHUNK_SAMPLES // hop)
+    out = np.empty((len(rows), n_frames))
+    for r in range(0, len(rows), rows_per_call):
+        frames = frame_signal(rows[r : r + rows_per_call], window, hop)  # a view
+        for lo in range(0, n_frames, frames_per_call):
+            block = slice(lo, lo + frames_per_call)
+            out[r : r + rows_per_call, block] = voicing_score(frames[:, block], sample_rate)
+    return out.reshape(lead + (n_frames,))
 
 
 def mix_noise(clean: AudioBuffer, noise: AudioBuffer | None, snr_db: float,
@@ -217,12 +240,8 @@ class ClipDataset:
         self.noises = [np.asarray(x, dtype=np.float64) for x in noises]
         self.clip_len = n
         feat = cfg.features
-        per_call = max(1, VOICING_CHUNK_SAMPLES // max(n, 1))
-        self.voicing = np.concatenate([
-            voicing_per_frame(np.stack(self.clips[i : i + per_call]), feat.window_length,
-                              feat.hop_length, feat.sample_rate)
-            for i in range(0, len(self.clips), per_call)
-        ])
+        self.voicing = voicing_per_frame(self.clips, feat.window_length, feat.hop_length,
+                                         feat.sample_rate)
 
     @classmethod
     def synthetic(cls, cfg: CodecConfig, n_clips: int = 48, n_noises: int = 12,

@@ -282,6 +282,23 @@ class TestEval:
         (row,) = csv.DictReader(open(report))
         assert row["sigma_voiced_mean"] == row["sigma_voiced_p90"] == "nan"
 
+    def test_failed_run_leaves_the_earlier_report(self, env, tmp_path):
+        # a 16 kHz WAV under the 8 kHz toy config exits 2 part way through
+        sr = env["cfg"].features.sample_rate
+        good, wrong = tmp_path / "good.wav", tmp_path / "wide.wav"
+        save_wav(good, AudioBuffer(synthetic_clip(np.random.default_rng(10), sr, sr), sr))
+        save_wav(wrong, AudioBuffer(np.zeros(2 * sr), 2 * sr))
+        manifest = tmp_path / "eval.tsv"
+        manifest.write_text(f"{good}\t-\tdev\n{wrong}\t-\tdev\n")
+        report = tmp_path / "report.csv"
+        report.write_text("an earlier report\n")
+        rc = cli.main(["eval", "--config", str(env["cfg_path"]), "--model", str(env["ckpt"]),
+                       "--manifest", str(manifest), str(report)])
+        assert rc == 2
+        assert report.read_text() == "an earlier report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "eval.tsv", "good.wav", "report.csv", "wide.wav"]
+
 
 class TestTrain:
     def test_halt_before_first_checkpoint_leaves_a_resumable_one(self, tmp_path, monkeypatch,

@@ -1,12 +1,15 @@
 """Conditioning stack rates, teacher-forced objective, generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lvrc import mol
+from lvrc import model as model_mod
 from lvrc.config import ModelConfig, toy_config
 from lvrc.container import read_container, write_container
-from lvrc.errors import ConfigError, FormatError
+from lvrc.errors import ConfigError, FormatError, NumericError
 from lvrc.model import CHECKPOINT_MAGIC, CodecModel
 from lvrc.neural import GRUCell, dense_forward
 
@@ -142,6 +145,71 @@ class TestTeacherForced:
         forward = model.teacher_forced(audio, mels, compute_grads=False, **kwargs)
         for key in ("loss", "nll", "jvar", "sigma", "sigma_all"):
             assert np.array_equal(forward[key], full[key]), key
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("regularizer", ["log", "linear"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_chunked_forward_only_equals_gradient_pass(self, batch, blocks, regularizer, dtype):
+        # tile 5: 14 frames give 112 conditioning rows over 560 steps, so
+        # three whole chunks of 32 rows and a partial one of 16. Exact
+        # equality needs the in_proj, GRU gate and output products to give
+        # a row the same bits for a 160-step chunk as for the whole clip:
+        # OpenBLAS does so here, but BLAS does not promise it, so a build
+        # that differs calls for a tolerance argued from eps instead.
+        model = tiny_model(seed=43, gru_blocks=blocks, frame_rate=5, dtype=dtype)
+        span = model_mod.FORWARD_CHUNK_ROWS * model.cfg.tile_factor
+        rng = np.random.default_rng(44)
+        audio, mels, voicing = tiny_batch(rng, model, batch=batch, length=2240, frames=14)
+        kwargs = dict(nu=0.05, regularizer=regularizer, voicing=voicing)
+        full = model.teacher_forced(audio, mels, **kwargs)
+        forward = model.teacher_forced(audio, mels, compute_grads=False, **kwargs)
+        assert forward["steps"] > 3 * span and forward["steps"] % span
+        for key in ("loss", "nll", "jvar", "sigma", "sigma_all", "weights"):
+            assert np.array_equal(forward[key], full[key]), key
+            assert np.asarray(forward[key]).dtype == np.asarray(full[key]).dtype, key
+
+    def test_forward_only_numeric_error_names_the_peaks_of_every_chunk(self):
+        # a NaN voicing weight makes the loss non-finite; the message's
+        # max |h| and max |raw| are those over the whole clip, as in the
+        # gradient pass, which sees every step at once
+        model = tiny_model(seed=45, frame_rate=5)
+        rng = np.random.default_rng(46)
+        audio, mels, voicing = tiny_batch(rng, model, batch=1, length=2240, frames=14)
+        voicing[0, -1] = np.nan
+        messages = []
+        for compute_grads in (True, False):
+            with pytest.raises(NumericError) as err:
+                model.teacher_forced(audio, mels, nu=0.01, voicing=voicing,
+                                     compute_grads=compute_grads)
+            messages.append(str(err.value))
+        assert "max |h|=" in messages[1] and "max |raw|=" in messages[1]
+        assert messages[1] == messages[0]
+
+    def test_forward_only_memory_does_not_grow_with_the_clip(self):
+        # the toy preset grew by 8.4 MiB per second of audio when the whole
+        # clip's GRU buffers and head rows were alive at once
+        model = CodecModel(toy_config().model, seed=0)
+        sr, hop = model.cfg.sample_rate, model.hop
+        rng = np.random.default_rng(47)
+        peaks = []
+        for seconds in (2, 8):
+            audio = rng.uniform(-0.5, 0.5, (1, seconds * sr))
+            mels = rng.uniform(-10.0, 0.0, (1, seconds * sr // hop + 1, model.cfg.n_mels))
+            tracemalloc.start()
+            try:
+                model.teacher_forced(audio, mels, compute_grads=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 6 < 1.5 * 2**20
+
+    def test_audio_shorter_than_one_step_rejected(self):
+        model = tiny_model()
+        for compute_grads in (True, False):
+            with pytest.raises(ConfigError):
+                model.teacher_forced(np.zeros((1, 3)), np.zeros((1, 1, 5)),
+                                     compute_grads=compute_grads)
 
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_reused_buffers_leave_no_trace(self, blocks):

@@ -174,6 +174,7 @@ class TestKMeans:
                "duplicates": np.repeat(rng.normal(0, 1, (5, 2)), 20, axis=0)}[case]
         centroids = q._kmeans_pp_init(pts, 8, np.random.default_rng(1))
         trace, prev = [], np.inf
+        zero = 4.0 * np.finfo(np.float64).eps * np.mean(np.sum(pts**2, axis=1))
         for _ in range(50):  # Lloyd with a search before and after each update
             assign, d2 = q._nearest(pts, centroids)
             for j in range(8):
@@ -184,7 +185,7 @@ class TestKMeans:
                     centroids[j], d2[far] = pts[far], 0.0
             _, d2 = q._nearest(pts, centroids)
             trace.append(float(d2.mean()))
-            if abs(prev - trace[-1]) < 1e-6 * max(trace[-1], 1e-30):
+            if trace[-1] <= zero or abs(prev - trace[-1]) < 1e-6 * max(trace[-1], 1e-30):
                 break
             prev = trace[-1]
 
@@ -194,6 +195,18 @@ class TestKMeans:
         got, got_trace = q.kmeans(pts, 8, np.random.default_rng(1))
         assert np.array_equal(got, centroids) and got_trace == trace
         assert len(calls) == len(trace) + 1
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_stops_once_every_point_sits_on_a_centroid(self, scale):
+        # 5 distinct points and 8 centroids: the distortion is zero up to
+        # the search's rounding after one iteration, and re-seeding the
+        # empty clusters could move the centroids among the copies forever
+        distinct = scale * np.random.default_rng(8).normal(0, 1, (5, 2))
+        centroids, trace = q.kmeans(np.repeat(distinct, 20, axis=0), 8,
+                                    np.random.default_rng(1))
+        assert len(trace) == 1
+        _, d2 = q._nearest(distinct, centroids)
+        assert d2.max() <= 1e-12 * scale**2
 
 
 class TestPacking:

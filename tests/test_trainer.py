@@ -90,6 +90,38 @@ class TestVoicingMatchesPerFrameLoop:
             assert np.array_equal(voicing_per_frame(clip, feat.window_length,
                                                     feat.hop_length, sr), want)
 
+    @pytest.mark.parametrize("frames_per_call", [1, 7, 64])
+    def test_frame_blocks_keep_every_score(self, monkeypatch, frames_per_call):
+        # a row longer than a call is voiced in blocks of its frames; the
+        # reflect-padded edge frames and the frames at block boundaries
+        # keep their bits, for one row, a stack and a list of clips
+        feat = toy_config().features
+        sr, window, hop = feat.sample_rate, feat.window_length, feat.hop_length
+        rng = np.random.default_rng(6)
+        clip = synthetic_clip(rng, sr, 2 * sr + 37)
+        want = voicing_score(frame_signal(clip, window, hop), sr)
+        monkeypatch.setattr(trainer, "VOICING_CHUNK_SAMPLES", frames_per_call * hop)
+        assert np.array_equal(voicing_per_frame(clip, window, hop, sr), want)
+        pair = [want, voicing_score(frame_signal(clip[::-1], window, hop), sr)]
+        assert np.array_equal(voicing_per_frame(np.stack([clip, clip[::-1]]), window, hop, sr),
+                              pair)
+        assert np.array_equal(voicing_per_frame([clip, clip[::-1]], window, hop, sr), pair)
+
+    def test_voicing_memory_does_not_grow_with_the_file(self, monkeypatch):
+        feat = toy_config().features
+        sr = feat.sample_rate
+        monkeypatch.setattr(trainer, "VOICING_CHUNK_SAMPLES", sr)
+        clip = np.random.default_rng(7).normal(0.0, 0.1, 20 * sr)
+        tracemalloc.start()
+        try:
+            voicing_per_frame(clip, feat.window_length, feat.hop_length, sr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one-second blocks peak near 1.5x the file (the padded copy beside
+        # one block); the whole file framed at once peaks near 8x
+        assert peak < 3 * clip.nbytes
+
     # widths with no lag (W - 1 < lag_min), exactly one (W - 1 == lag_min), two, many
     @pytest.mark.parametrize("sr,width", [(8000, 20), (8000, 21), (8000, 22), (8000, 161),
                                           (16000, 40), (16000, 41), (16000, 42), (16000, 639)])
