@@ -120,7 +120,8 @@ def cmd_train(args) -> int:
         dataset = ClipDataset.from_manifest(cfg, entries)
     result = train(cfg, args.out_dir, dataset=dataset, resume_from=args.resume)
     status = "halted on non-finite loss" if result.halted else "finished"
-    print(f"{status} at step {result.final_step}; checkpoint: {result.checkpoint_path}")
+    reason = f" ({result.halt_reason})" if result.halted else ""
+    print(f"{status} at step {result.final_step}{reason}; checkpoint: {result.checkpoint_path}")
     return 4 if result.halted else 0
 
 

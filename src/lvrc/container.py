@@ -53,8 +53,11 @@ def unpack_container(
 ) -> tuple[bytes, dict[str, np.ndarray]]:
     """Return (digest, arrays). Raises DigestError on a config mismatch.
 
-    Any other malformed blob, including one with bytes after its last
-    entry, raises FormatError.
+    Each array is a read-only view of `blob`, not a copy: the entries share
+    its one buffer, so a caller that keeps any one of them keeps the whole
+    blob alive, and one that needs an array of its own copies it. A view
+    need not be aligned to its dtype. Any other malformed blob, including
+    one with bytes after its last entry, raises FormatError.
     """
     if len(blob) < 17:
         raise FormatError("container truncated")
@@ -80,12 +83,11 @@ def unpack_container(
             shape = struct.unpack_from(f"<{ndim}I", blob, offset)
             offset += 4 * ndim
             dtype = np.dtype(_DTYPES[code])
-            nbytes = dtype.itemsize * math.prod(shape)  # exact: a wrapped product could pass
+            count = math.prod(shape)  # exact: a wrapped product could pass
+            nbytes = dtype.itemsize * count
             if offset + nbytes > len(blob):
                 raise FormatError(f"entry {name!r} truncated")
-            arrays[name] = np.frombuffer(
-                blob[offset : offset + nbytes], dtype=dtype
-            ).reshape(shape)
+            arrays[name] = np.frombuffer(blob, dtype, count, offset).reshape(shape)
             offset += nbytes
     except (struct.error, KeyError, ValueError) as exc:  # ValueError: not utf-8, too big a shape
         raise FormatError("container corrupted") from exc

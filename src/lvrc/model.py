@@ -174,9 +174,9 @@ class CodecModel:
         if step < 0:
             raise FormatError(f"checkpoint step {step} is negative")
         for p in params:
-            p.value = arrays[f"param/{p.name}"].astype(self.dtype).copy()
+            p.value = arrays[f"param/{p.name}"].astype(self.dtype)  # the file's views: copy once
             mask = arrays.get(f"mask/{p.name}")
-            p.mask = None if mask is None else mask.astype(self.dtype).copy()
+            p.mask = None if mask is None else mask.astype(self.dtype)
         return step, arrays
 
     # -- forward pieces ------------------------------------------------------
@@ -341,7 +341,9 @@ class CodecModel:
         """
         cfg = self.cfg
         steps = int(seconds * cfg.sample_rate) // cfg.n_bands
-        cond, _ = self.cond.forward(np.asarray(mels, dtype=self.dtype)[None])
+        # the layer outputs are dropped here and cond once its gates are made:
+        # the step loop reads neither
+        cond = self.cond.forward(np.asarray(mels, dtype=self.dtype)[None])[0]
         tile = cfg.tile_factor
         if cond.shape[1] * tile < steps:
             raise ConfigError(
@@ -356,6 +358,7 @@ class CodecModel:
             return a.astype(dtype, copy=False)
 
         cond_gates = cast(gru.input_gates(cond[0] + self.in_proj_b.value))
+        del cond
         fold = cast(gru.input_gates(self.in_proj_w.value.T, bias=False))
         weights = [cast(w) for w in gru.step_weights()]
         out_w, out_b = cast(self.out_w.value), cast(self.out_b.value)

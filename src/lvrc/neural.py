@@ -6,15 +6,17 @@ training sequence and decode step run one update, the sequence in
 buffers it reuses from call to call; one tap-delay 1-D convolution
 (causal dilated and centered kernels are sets of tap delays) and the
 stride-2 transpose convolution; Adam with pruning-mask enforcement, and
-the cubic magnitude-pruning schedule. Backward functions return exact
-analytic gradients; the finite-difference test suite is the correctness
-contract. Sequence arrays are (batch, time, channels); convolution
-kernels are (kernel, out, in).
+the cubic magnitude-pruning schedule. A parameter makes its gradient
+accumulator on first use, so a model that only runs forward holds each
+weight once. Backward functions return exact analytic gradients; the
+finite-difference test suite is the correctness contract. Sequence
+arrays are (batch, time, channels); convolution kernels are (kernel,
+out, in).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -23,21 +25,34 @@ from .container import entry
 from .errors import ConfigError, FormatError
 
 
-@dataclass
 class Parameter:
-    """Trainable array with its gradient accumulator and optional pruning mask."""
+    """Trainable array with its gradient accumulator and optional pruning mask.
 
-    name: str
-    value: np.ndarray
-    grad: np.ndarray = None
-    mask: np.ndarray | None = None
+    The accumulator is made on first use, as zeros shaped like `value`:
+    `p.grad += d` in a backward pass, or Adam reading it. A model that only
+    runs forward (decode, eval, a checkpoint load) so holds each weight
+    once, and `zero_grad` on an accumulator never made makes none.
+    """
 
-    def __post_init__(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
+    def __init__(self, name: str, value: np.ndarray, mask: np.ndarray | None = None):
+        self.name = name
+        self.value = value
+        self.mask = mask
+        self._grad: np.ndarray | None = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray) -> None:
+        self._grad = g
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def apply_mask(self) -> None:
         if self.mask is not None:
@@ -46,7 +61,7 @@ class Parameter:
 
 def init_weight(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype=np.float64) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +466,7 @@ class Adam:
                 m, v = arrays[m_key], entry(arrays, v_key)
                 if m.shape != p.value.shape or v.shape != p.value.shape:
                     raise FormatError(f"optimizer state shape mismatch for {p.name}")
-                slots[p.name] = (m.astype(p.value.dtype).copy(), v.astype(p.value.dtype).copy())
+                slots[p.name] = (m.astype(p.value.dtype), v.astype(p.value.dtype))
         self.step_count = step_count
         self.slots.update(slots)
 

@@ -256,9 +256,10 @@ class QuantizerModel:
         digest, arrays = read_container(path, MODEL_MAGIC, expected_digest)
         stack, split_dim, seed, rank_deficient = (int(v) for v in entry(arrays, "meta", 4)[:4])
         bits = entry(arrays, "allocations").astype(np.int64)
-        mean, basis, eig = (np.asarray(entry(arrays, key), dtype=np.float64)
+        # copies, aligned and the model's own, not views of the file's bytes
+        mean, basis, eig = (np.array(entry(arrays, key), dtype=np.float64)
                             for key in ("mean", "basis", "eigenvalues"))
-        codebooks = [np.asarray(entry(arrays, f"codebook/{j}"), dtype=np.float64)
+        codebooks = [np.array(entry(arrays, f"codebook/{j}"), dtype=np.float64)
                      for j in range(len(bits))]
         dim = mean.size
         splits = split_slices(dim, split_dim) if split_dim >= 1 else []

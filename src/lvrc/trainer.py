@@ -352,6 +352,7 @@ class TrainResult:
     final_step: int
     halted: bool
     checkpoint_series: list[str] = None
+    halt_reason: str | None = None
 
 
 LR_DECAY_STEPS = 500  # see train(): chosen on the toy held-out NLL curve
@@ -385,9 +386,11 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
     `model.ckpt` is written at the start step, fresh or resumed, again
     every `checkpoint_interval` steps (each also kept as
     `model_step<n>.ckpt`) and at the last step. A non-finite loss halts
-    training with `halted` set: `model.ckpt` then holds the last of those
-    saves, at worst the start step's, so it always loads and resumes, and
-    `metrics.csv` keeps the rows of the steps before the halt.
+    training with `halted` set and the error's message in `halt_reason`
+    (for a non-finite loss: nll, jvar, max |h| and max |raw|).
+    `model.ckpt` then holds the last of those saves, at worst the start
+    step's, so it always loads and resumes, and `metrics.csv` keeps the
+    rows of the steps before the halt.
 
     Adam's step size decays as 1/t (`learning_rate`), as in LPCNet's
     training. At a constant step size the iterate keeps wandering on the
@@ -430,7 +433,7 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
 
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     series: list[str] = []
-    halted = False
+    halt_reason = None
     step = start_step
 
     def save(step_now, keep=False):
@@ -479,10 +482,11 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
                 writer.writerow([row[k] for k in METRICS_HEADER])
             if step % tc.checkpoint_interval == 0:
                 save(step, keep=True)
-    except NumericError:
-        halted = True
+    except NumericError as exc:
+        halt_reason = str(exc)
     finally:
         metrics_fh.close()
+    halted = halt_reason is not None
     if not halted:
         save(step)
-    return TrainResult(ckpt_path, metrics_path, metrics, step, halted, series)
+    return TrainResult(ckpt_path, metrics_path, metrics, step, halted, series, halt_reason)

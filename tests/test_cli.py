@@ -330,6 +330,27 @@ class TestTrain:
                 == (tmp_path / "fresh" / "model.ckpt").read_bytes())
 
 
+    def test_halt_prints_the_reason(self, tmp_path, monkeypatch, capsys):
+        # a NaN voicing weight leaves the NLL finite and makes the loss NaN
+        cfg = toy_config()
+        cfg.train.steps = 2
+        cfg.train.batch_size = 2
+        cfg_path = tmp_path / "toy.cfg"
+        cfg.save(cfg_path)
+        batch = lvrc.trainer.ClipDataset.batch
+
+        def nan_voicing(self, step):
+            audio, mels, voicing = batch(self, step)
+            return audio, mels, np.full_like(voicing, np.nan)
+
+        monkeypatch.setattr(lvrc.trainer.ClipDataset, "batch", nan_voicing)
+        rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")])
+        assert rc == 4
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("halted on non-finite loss at step 1 (non-finite loss (nll=")
+        assert "jvar=nan" in line and "max |h|=" in line and "max |raw|=" in line
+        assert line.endswith(f"checkpoint: {tmp_path / 'run' / 'model.ckpt'}")
+
     def test_resume_from_a_malformed_optimizer_state_exits_3(self, env, tmp_path, capsys):
         digest, arrays = read_container(env["ckpt"], CHECKPOINT_MAGIC)
         arrays["adam_m/out.b"] = np.zeros(3)

@@ -4,6 +4,7 @@ import os
 import stat
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,35 @@ def test_round_trip():
     for key, arr in arrays.items():
         assert back[key].dtype == arr.dtype and np.array_equal(back[key], arr)
     assert unpack_container(blob_with(b"w"), MAGIC)[1]["w"].tolist() == [1.5, -2.0]
+
+
+def test_entries_are_read_only_views_that_round_trip_bit_for_bit():
+    # odd name lengths put most entries at offsets their dtype does not divide
+    special = np.array([np.nan, -0.0, np.inf, -np.inf, 5e-324, 1.0 / 3.0])
+    arrays = {"f8": special, "f4x": special.astype(np.float32).reshape(2, 3),
+              "i8yy": np.arange(-3, 3, dtype=np.int64), "u1": np.arange(5, dtype=np.uint8),
+              "u4zzz": np.array([[0, 2**32 - 1]], dtype=np.uint32), "empty": np.zeros((0, 4))}
+    blob = pack_container(MAGIC, DIGEST, arrays)
+    back = unpack_container(blob, MAGIC, DIGEST)[1]
+    for key, arr in arrays.items():
+        assert back[key].dtype == arr.dtype and back[key].shape == arr.shape, key
+        assert back[key].tobytes() == arr.tobytes(), key
+        assert not back[key].flags.writeable, key
+    big = pack_container(MAGIC, DIGEST, {"w": np.ones(1 << 20), "v": np.ones((64, 1024))})
+    tracemalloc.start()
+    try:
+        unpack_container(big, MAGIC, DIGEST)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(big) // 100  # no entry is copied out of the blob
+
+
+def test_every_truncation_rejected():
+    blob = pack_container(MAGIC, DIGEST, {"a": np.arange(3.0), "bb": np.ones((2, 2), np.int64)})
+    for cut in range(len(blob)):
+        with pytest.raises(FormatError):
+            unpack_container(blob[:cut], MAGIC)
 
 
 def test_non_utf8_entry_name_rejected():

@@ -499,3 +499,60 @@ class TestCheckpoint:
         model.save_checkpoint(path, b"\x07" * 8, step=1)
         with pytest.raises(DigestError):
             model.load_checkpoint(path, expected_digest=b"\x08" * 8)
+
+
+class TestForwardOnlyHoldsWeightsOnce:
+    """A parameter makes its gradient accumulator on first use, so a model
+    that only runs forward holds its weights once."""
+
+    @staticmethod
+    def accumulators(model):
+        return [p.name for p in model.parameters() if p._grad is not None]
+
+    def test_forward_only_use_makes_no_accumulator(self, tmp_path):
+        model = tiny_model(seed=51)
+        rng = np.random.default_rng(52)
+        audio, mels, voicing = tiny_batch(rng, model)
+        assert self.accumulators(model) == []
+        model.zero_grads()
+        model.teacher_forced(audio, mels, nu=0.01, voicing=voicing, compute_grads=False)
+        model.generate(mels[0], np.random.default_rng(0), seconds=0.08)
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(path, b"\x07" * 8, step=1)
+        model.load_checkpoint(path)
+        assert self.accumulators(model) == []
+
+    def test_gradient_pass_and_adam_match_eager_zeros(self):
+        from lvrc.neural import Adam
+
+        rng = np.random.default_rng(53)
+        lazy, eager = tiny_model(seed=54), tiny_model(seed=54)
+        for p in eager.parameters():
+            p.grad = np.zeros_like(p.value)
+        optimizers = Adam(lr=1e-2), Adam(lr=1e-2)
+        for _ in range(2):
+            audio, mels, voicing = tiny_batch(rng, lazy)
+            for model, opt in zip((lazy, eager), optimizers):
+                model.zero_grads()
+                model.teacher_forced(audio, mels, nu=0.05, voicing=voicing)
+                opt.step(model.parameters())
+        for p, q in zip(lazy.parameters(), eager.parameters()):
+            assert np.array_equal(p.value, q.value) and np.array_equal(p.grad, q.grad), p.name
+        assert optimizers[0].slots.keys() == optimizers[1].slots.keys()
+        for name, (m, v) in optimizers[0].slots.items():
+            m2, v2 = optimizers[1].slots[name]
+            assert np.array_equal(m, m2) and np.array_equal(v, v2), name
+
+    def test_build_allocates_about_the_weights_once(self):
+        # about 2.08x the parameter bytes when every parameter came with a
+        # zeroed accumulator
+        cfg = toy_config().model
+        CodecModel(cfg, seed=0)  # imports and first-call set-up are not the model's
+        tracemalloc.start()
+        try:
+            model = CodecModel(cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weights = sum(p.value.nbytes for p in model.parameters())
+        assert peak <= 1.1 * weights
