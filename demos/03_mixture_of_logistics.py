@@ -18,11 +18,12 @@ raw = np.array([1.0, 0.3, -0.5, -1.0,
                 -0.6, -0.1, 0.2, 0.9,
                 -2.0, -1.5, -1.0, -0.5])
 params = mol.constrain(raw)
+mean, variance = mol.mixture_moments(params)
 print("weights:", np.round(params.gammas, 4))
-print("mean:   ", round(float(mol.mixture_mean(params)), 6))
+print("mean:   ", round(float(mean), 6))
 
-analytic = float(mol.mixture_variance(params))
-draws = mol.sample_n(params, rng, 1_000_000)
+analytic = float(variance)
+draws = mol.sample(raw, mol.sample_noise(rng, 1, 1_000_000)[0])  # as decode draws
 print(f"variance: analytic {analytic:.6f} vs Monte-Carlo {draws.var():.6f} "
       f"({abs(draws.var() - analytic) / analytic:.2%} off)")
 
@@ -36,16 +37,18 @@ batch = mol.MoLParams(
     mus=np.tile(params.mus, (3, 1)),
     scales=np.stack([params.scales, 2 * params.scales, 4 * params.scales]),
 )
-print(f"linear (mean sigma^2):  {mol.jvar_linear(batch):.6f}")
-print(f"log (mean ln(sigma+a)): {mol.jvar_log(batch, a=1e-4):.6f}")
+var = mol.mixture_moments(batch)[1]
+print(f"linear (mean sigma^2):  {np.mean(mol.reg_term(var, 0.0, 'linear')):.6f}")
+print(f"log (mean ln(sigma+a)): {np.mean(mol.reg_term(var, 1e-4, 'log')):.6f}")
 print("scaling every sigma by 10 shifts the log form by ~ln(10):")
-wide = mol.MoLParams(batch.gammas, 10 * batch.mus, 10 * batch.scales)
-print(f"  {mol.jvar_log(wide, a=1e-4) - mol.jvar_log(batch, a=1e-4):.4f} vs {np.log(10):.4f}")
+wide_var = mol.mixture_moments(mol.MoLParams(batch.gammas, 10 * batch.mus, 10 * batch.scales))[1]
+shift = np.mean(mol.reg_term(wide_var, 1e-4, "log") - mol.reg_term(var, 1e-4, "log"))
+print(f"  {shift:.4f} vs {np.log(10):.4f}")
 
 print("\n== broad baseline component (training-only) ==")
-spec = mol.BaselineSpec(gamma0=0.3, mu0=0.0, s0=5.0)
+gamma0 = 0.3  # the weight of the broad logistic (mol.BASELINE_MU0, mol.BASELINE_S0)
 x = 30.0  # an outlier
-train_lp = float(mol.baseline_log_prob(x, raw, spec, "train"))
-infer_lp = float(mol.baseline_log_prob(x, raw, spec, "infer"))
+train_lp = float(-mol.head_terms(np.array([x]), raw[None], 1, gamma0=gamma0, grads=False).nll[0])
+infer_lp = float(mol.log_prob(x, params))  # the plain mixture, which decode samples
 print(f"outlier x={x}: train-mode log q = {train_lp:.2f} (baseline catches it), "
       f"infer-mode log q = {infer_lp:.2f}")

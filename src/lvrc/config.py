@@ -162,6 +162,8 @@ class TrainConfig:
             raise ConfigError("snr_min must be <= snr_max")
         if self.regularizer not in ("log", "linear"):
             raise ConfigError("regularizer must be 'log' or 'linear'")
+        if not self.var_floor > 0:  # the log regularizer takes ln(sigma + var_floor)
+            raise ConfigError("var_floor must be positive")
         if not 0 <= self.target_sparsity <= 1:
             raise ConfigError("target_sparsity must be in [0, 1]")
         if self.prune_end < self.prune_start:

@@ -227,7 +227,7 @@ class CodecModel:
     def teacher_forced(self, audio, mels, nu: float = 0.0, regularizer: str = "log",
                        var_floor: float = 1e-4, reg_bands: int = 2,
                        voicing: np.ndarray | None = None, compute_grads: bool = True,
-                       baseline: mol.BaselineSpec | None = None):
+                       gamma0: float = 0.0):
         """Teacher-forced objective over a batch of equal-length clips.
 
         Returns a dict with the scalar loss, its NLL and variance terms
@@ -239,6 +239,8 @@ class CodecModel:
         The loss is mean(-log q) over all bands and steps plus
         nu * mean(voicing * reg_term) over the first `reg_bands` bands,
         with the voicing (B, frames) of the mel frame containing each step.
+        With gamma0 > 0, q is the train-mode density with the broad
+        baseline mixed in (`mol.head_terms`).
 
         Without compute_grads the steps run in chunks (`_forward_chunks`),
         so the GRU buffers and head rows are held for one chunk at a time;
@@ -264,7 +266,7 @@ class CodecModel:
         x = bands.transpose(0, 2, 1)  # (B, T, N) targets
         prev = np.concatenate([np.zeros((batch, 1, n_bands), self.dtype), x[:, :-1]], axis=1)
         h0 = np.zeros((batch, cfg.gru_state), self.dtype)
-        head = (reg_bands, var_floor, regularizer, baseline, compute_grads)
+        head = (reg_bands, var_floor, regularizer, gamma0, compute_grads)
         if compute_grads:
             hs, gru_cache, flat, terms = self._steps(prev, x, cond, h0, head)
             nll, var, reg = terms.nll, terms.var, terms.reg

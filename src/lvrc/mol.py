@@ -1,16 +1,21 @@
 """Mixture-of-logistics predictive distribution.
 
-Parameterization, stable log-likelihood, sampling, closed-form mixture
-variance, the two predictive-variance regularizers (linear and log) and
-the broad-baseline mixture variant.
+Parameterization, stable log-likelihood, sampling, the closed-form
+mixture moments, the two predictive-variance regularizers (linear and
+log) and the training-only broad baseline component.
 
 The unconstrained form is the output layer's flat (..., 3K) row: K weight
-logits, K locations and K log scales. `constrain`, `sample`,
-`scale_active` and `baseline_log_prob` read such rows, and gradients
-w.r.t. them come back in the same (..., 3K) layout. `head_terms` is the
-training head's one forward/backward: it constrains the rows and takes
-the mixture moments once, and returns the NLL, the mixture variance and
-the regularizer, with their exact gradients unless asked for none.
+logits, K locations and K log scales. `constrain` and `sample` read such
+rows, and gradients w.r.t. them come back in the same (..., 3K) layout.
+`head_terms` is the training head's one forward/backward: it constrains
+the rows and takes the mixture moments once, and returns the NLL, the
+mixture variance and the regularizer, with their exact gradients unless
+asked for none.
+
+The baseline q0 is a fixed logistic (BASELINE_MU0, BASELINE_S0). With a
+weight gamma0 > 0, `head_terms` scores the targets under gamma0 q0 +
+(1 - gamma0) q, which bounds an outlier's NLL. Inference drops q0 and
+renormalizes: the plain mixture q, which `log_prob` and `sample` use.
 
 All functions are vectorized: parameter arrays carry the mixture axis
 last, and an arbitrary batch shape in front.
@@ -27,6 +32,8 @@ from .errors import ConfigError, NumericError
 S_MIN = 1e-4
 S_MAX = 10.0
 UNIFORM_EPS = 1e-7
+BASELINE_MU0 = 0.0
+BASELINE_S0 = 5.0
 
 _PI2_3 = np.pi**2 / 3.0
 
@@ -38,23 +45,6 @@ class MoLParams:
     gammas: np.ndarray
     mus: np.ndarray
     scales: np.ndarray
-
-    @property
-    def batch_shape(self) -> tuple:
-        return self.gammas.shape[:-1]
-
-
-@dataclass
-class BaselineSpec:
-    """Designer-set broad component mixed in during training only."""
-
-    gamma0: float
-    mu0: float = 0.0
-    s0: float = 5.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma0 < 1.0:
-            raise ConfigError("gamma0 must be in [0, 1)")
 
 
 def softplus(x):
@@ -80,11 +70,10 @@ def constrain(flat: np.ndarray) -> MoLParams:
     """Map flat (..., 3K) rows to valid mixture parameters.
 
     Weights via softmax of the logits, scales via exp of the log scales
-    clamped to [S_MIN, S_MAX], locations passed through.
+    clamped to [S_MIN, S_MAX], locations passed through. Non-finite rows
+    give non-finite parameters; `teacher_forced` reports them by its loss.
     """
     k = _n_mix(flat)
-    if not np.isfinite(flat).all():
-        raise NumericError("raw mixture parameters must be finite")
     return MoLParams(
         gammas=softmax(flat[..., :k]),
         mus=np.asarray(flat[..., k : 2 * k], dtype=np.float64).copy(),
@@ -157,29 +146,12 @@ def sample(flat: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return (rows[at, k + pick] + s_k * variate).reshape(noise.shape[1:])
 
 
-def sample_n(p: MoLParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n iid draws from a single (unbatched) mixture with positive weights."""
-    if p.batch_shape != ():
-        raise ValueError("sample_n expects unbatched parameters")
-    flat = np.concatenate([np.log(p.gammas), p.mus, np.log(p.scales)])
-    return sample(flat, sample_noise(rng, 1, n)[0])
-
-
-def mixture_mean(p: MoLParams):
-    return np.sum(p.gammas * p.mus, axis=-1)
-
-
 def mixture_moments(p: MoLParams):
     """(mean, variance), the variance being
     sigma_q^2 = sum_k gamma_k (s_k^2 pi^2/3 + mu_k^2) - (sum_k gamma_k mu_k)^2."""
     second = np.sum(p.gammas * (p.scales**2 * _PI2_3 + p.mus**2), axis=-1)
-    mean = mixture_mean(p)
+    mean = np.sum(p.gammas * p.mus, axis=-1)
     return mean, second - mean**2
-
-
-def mixture_variance(p: MoLParams):
-    """The variance of `mixture_moments`."""
-    return mixture_moments(p)[1]
 
 
 def reg_term(var, a: float, regularizer: str):
@@ -192,54 +164,11 @@ def reg_term(var, a: float, regularizer: str):
     raise ConfigError(f"unknown regularizer {regularizer!r}")
 
 
-def _jvar(p: MoLParams, a: float, regularizer: str) -> float:
-    var = np.asarray(mixture_variance(p))
-    if var.size == 0:
-        raise ValueError("empty batch")
-    return float(np.mean(reg_term(var, a, regularizer)))
-
-
-def jvar_linear(p: MoLParams) -> float:
-    """Mean predictive variance over the batch."""
-    return _jvar(p, 0.0, "linear")
-
-
-def jvar_log(p: MoLParams, a: float) -> float:
-    """Mean of ln(sigma_q + a) over the batch; a provides the floor."""
-    if a <= 0:
-        raise ConfigError("floor a must be positive")
-    return _jvar(p, a, "log")
-
-
-def baseline_log_prob(x, flat: np.ndarray, spec: BaselineSpec, mode: str):
-    """Log density of the mixture augmented with a fixed broad component.
-
-    Train mode evaluates gamma0 * q0 + (1 - gamma0) * sum_k gamma_k q_k,
-    where the K learned weights sum to 1 - gamma0. Infer mode drops the
-    broad component and renormalizes by 1/(1 - gamma0), which is exactly
-    the plain K-component mixture. gamma0 = 0 reproduces log_prob
-    bit-for-bit in both modes.
-    """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    main = log_prob(x, constrain(flat))
-    if mode == "infer":
-        return main
-    return _with_baseline(x, main, spec)
-
-
-def _with_baseline(x, main, spec: BaselineSpec):
-    """Train-mode log density given main = log q(x) of the learned mixture."""
-    log_g0 = np.log(spec.gamma0) if spec.gamma0 > 0.0 else -np.inf
-    z0 = (np.asarray(x, dtype=np.float64) - spec.mu0) / spec.s0
-    base_log_pdf = -z0 - 2.0 * softplus(-z0) - np.log(spec.s0)
-    return np.logaddexp(log_g0 + base_log_pdf, np.log1p(-spec.gamma0) + main)
-
-
-def scale_active(flat: np.ndarray) -> np.ndarray:
-    """Clamp mask: 1 where the exp link of a scale is inside [S_MIN, S_MAX], else 0."""
-    s_raw = np.exp(np.asarray(flat[..., 2 * _n_mix(flat) :], dtype=np.float64))
-    return ((s_raw > S_MIN) & (s_raw < S_MAX)).astype(np.float64)
+def _with_baseline(x, main, gamma0: float):
+    """Train-mode log density log(gamma0 q0(x) + (1 - gamma0) q(x)), given
+    main = log q(x) of the learned mixture and gamma0 > 0."""
+    base_log_pdf = logistic_log_pdf(x, BASELINE_MU0, BASELINE_S0)[..., 0]
+    return np.logaddexp(np.log(gamma0) + base_log_pdf, np.log1p(-gamma0) + main)
 
 
 def nll_grad(x, p: MoLParams, active: np.ndarray):
@@ -295,14 +224,14 @@ class HeadTerms:
 
 
 def head_terms(x, flat: np.ndarray, reg_bands: int, a: float = 1e-4,
-               regularizer: str = "log", baseline: BaselineSpec | None = None,
+               regularizer: str = "log", gamma0: float = 0.0,
                grads: bool = True) -> HeadTerms:
     """NLL, mixture variance and regularizer, and their gradients, from one
     constrain and one `mixture_moments`.
 
     x has shape (..., N) with one target per band; flat carries the (3K)
     row axis after it. The regularizer covers the first `reg_bands` bands.
-    With a baseline of gamma0 > 0 the NLL is that of the train-mode
+    With a baseline weight gamma0 > 0 the NLL is that of the train-mode
     density, and its gradient is the plain mixture's scaled by
     (1 - gamma0) q(x) / q_train(x), the learned components' share of it.
     Without `grads` the same terms come from the same expressions, and no
@@ -321,9 +250,9 @@ def head_terms(x, flat: np.ndarray, reg_bands: int, a: float = 1e-4,
     else:
         nll, d_nll = -log_prob(x, p), None
         reg, d_reg = reg_term(var[..., :reg_bands], a, regularizer), None
-    if baseline is not None and baseline.gamma0 > 0.0:
+    if gamma0 > 0.0:
         main = -nll
-        nll = -_with_baseline(x, main, baseline)
+        nll = -_with_baseline(x, main, gamma0)
         if grads:
-            d_nll = np.exp(np.log1p(-baseline.gamma0) + main + nll)[..., None] * d_nll
+            d_nll = np.exp(np.log1p(-gamma0) + main + nll)[..., None] * d_nll
     return HeadTerms(nll, var, reg, d_nll, d_reg)

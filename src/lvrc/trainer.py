@@ -445,12 +445,6 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
             model.save_checkpoint(kept, digest, step_now, extra)
             series.append(kept)
 
-    baseline = None
-    if tc.baseline_gamma0 > 0.0:
-        from .mol import BaselineSpec
-
-        baseline = BaselineSpec(tc.baseline_gamma0)
-
     save(start_step)  # so a halt before the first interval still leaves one
     try:
         for step in range(start_step + 1, tc.steps + 1):
@@ -459,7 +453,7 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
             res = model.teacher_forced(
                 audio, mels, nu=tc.nu, regularizer=tc.regularizer,
                 var_floor=tc.var_floor, reg_bands=tc.reg_bands, voicing=voicing,
-                baseline=baseline,
+                gamma0=tc.baseline_gamma0,
             )
             optimizer.lr = learning_rate(tc, step)
             optimizer.step(params)

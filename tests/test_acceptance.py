@@ -50,8 +50,11 @@ def test_criterion_01_mixture_variance_monte_carlo():
             mus=rng.uniform(-1.5, 1.5, k),
             scales=rng.uniform(0.05, 1.0, k),
         )
-        analytic = float(mol.mixture_variance(params))
-        draws = mol.sample_n(params, np.random.default_rng(rng.integers(2**62)), 10**6)
+        analytic = float(mol.mixture_moments(params)[1])
+        # the same mixture as a flat output row, drawn from as decode draws
+        flat = np.concatenate([np.log(params.gammas), params.mus, np.log(params.scales)])
+        noise = mol.sample_noise(np.random.default_rng(rng.integers(2**62)), 1, 10**6)
+        draws = mol.sample(flat, noise[0])
         worst = max(worst, abs(draws.var() - analytic) / analytic)
     elapsed = time.time() - start
     assert worst <= 0.01
@@ -130,16 +133,15 @@ def test_criterion_02_gradient_suite():
             audio = rng.uniform(-0.8, 0.8, (1, 32))
             mels = rng.uniform(-15, 3, (1, 2, 3))
             voicing = rng.uniform(0, 1, (1, 2))
-            baseline = mol.BaselineSpec(gamma0) if gamma0 else None
 
             def loss():
                 return model.teacher_forced(audio, mels, nu=nu, regularizer=reg,
                                             voicing=voicing, compute_grads=False,
-                                            baseline=baseline)["loss"]
+                                            gamma0=gamma0)["loss"]
 
             model.zero_grads()
             model.teacher_forced(audio, mels, nu=nu, regularizer=reg,
-                                 voicing=voicing, baseline=baseline)
+                                 voicing=voicing, gamma0=gamma0)
             for p in model.parameters():
                 assert fd_rel_error(p.grad, numeric_grad(loss, p.value)) <= 1e-4, p.name
             configs += 1
@@ -408,16 +410,13 @@ def test_criterion_10_baseline_distribution_consistency():
         raw = np.concatenate([rng.normal(0, 1, k), rng.normal(0, 1, k),
                               rng.uniform(-2.5, 0.5, k)])
         xs = rng.normal(0, 3, 64)
-        plain = mol.log_prob(xs, mol.constrain(raw))
-        spec0 = mol.BaselineSpec(0.0)
-        assert np.array_equal(mol.baseline_log_prob(xs, raw, spec0, "train"), plain)
-        assert np.array_equal(mol.baseline_log_prob(xs, raw, spec0, "infer"), plain)
+        # train mode is the training head's density, infer mode the plain mixture
+        p = mol.constrain(raw)
+        plain = mol.log_prob(xs, p)
+        train0 = -mol.head_terms(xs, np.tile(raw, (64, 1)), 1, gamma0=0.0, grads=False).nll
+        assert np.array_equal(train0, plain)
 
-        spec = mol.BaselineSpec(0.3, mu0=0.0, s0=5.0)
-        total, _ = quad(
-            lambda t: np.exp(float(mol.baseline_log_prob(t, raw, spec, "infer"))),
-            -50.0, 50.0, limit=500,
-        )
+        total, _ = quad(lambda t: np.exp(float(mol.log_prob(t, p))), -50.0, 50.0, limit=500)
         worst_quad = max(worst_quad, abs(total - 1.0))
     assert worst_quad <= 1e-6
     report(10, f"gamma0=0 bit-exact over 5 parameter sets; worst quadrature "

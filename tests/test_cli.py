@@ -318,6 +318,8 @@ class TestTrain:
         assert rc == 4
         out = capsys.readouterr().out
         assert "halted on non-finite loss at step 1" in out
+        # the head passes the NaN rows on, so the loss check names both maxima
+        assert "max |h|=" in out and "max |raw|=" in out
         ckpt = out.strip().rsplit("checkpoint: ", 1)[1]
         step, _ = CodecModel(cfg.model).load_checkpoint(ckpt, expected_digest=cfg.digest())
         assert step == 0

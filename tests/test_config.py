@@ -52,6 +52,8 @@ def test_bad_values_rejected():
                 "model.dtype = float46",
                 "train.nu = nan",
                 "train.lr = inf",
+                "train.var_floor = 0",  # ln(sigma + var_floor) needs a positive floor
+                "train.var_floor = -0.001",
                 "quantizer.bits_per_supervector = 1281"):  # 160 splits of <= 8 bits
         with pytest.raises(ConfigError):
             parse_config(bad + "\n")

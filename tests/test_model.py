@@ -105,17 +105,16 @@ class TestTeacherForced:
         model = tiny_model(seed=7, gru_blocks=blocks, frame_rate=frame_rate)
         rng = np.random.default_rng(11)
         audio, mels, voicing = tiny_batch(rng, model, batch=1, length=32)
-        baseline = mol.BaselineSpec(gamma0) if gamma0 else None
 
         def loss():
             return model.teacher_forced(
                 audio, mels, nu=nu, regularizer=regularizer, voicing=voicing,
-                compute_grads=False, baseline=baseline,
+                compute_grads=False, gamma0=gamma0,
             )["loss"]
 
         model.zero_grads()
         model.teacher_forced(audio, mels, nu=nu, regularizer=regularizer,
-                             voicing=voicing, baseline=baseline)
+                             voicing=voicing, gamma0=gamma0)
         h = 1e-5
         for p in model.parameters():
             numeric = np.zeros_like(p.value)
@@ -139,8 +138,7 @@ class TestTeacherForced:
         model = tiny_model(seed=41)
         rng = np.random.default_rng(42)
         audio, mels, voicing = tiny_batch(rng, model, batch=batch)
-        kwargs = dict(nu=0.05, regularizer=regularizer, voicing=voicing,
-                      baseline=mol.BaselineSpec(gamma0) if gamma0 else None)
+        kwargs = dict(nu=0.05, regularizer=regularizer, voicing=voicing, gamma0=gamma0)
         full = model.teacher_forced(audio, mels, **kwargs)
         forward = model.teacher_forced(audio, mels, compute_grads=False, **kwargs)
         for key in ("loss", "nll", "jvar", "sigma", "sigma_all"):

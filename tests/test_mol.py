@@ -47,10 +47,6 @@ class TestConstrain:
         with pytest.raises(ValueError):
             mol.constrain(np.zeros((2, 4)))
 
-    def test_nan_rejected(self):
-        with pytest.raises(NumericError):
-            mol.constrain(np.array([np.nan, 0.0, 0.0]))
-
 
 class TestLogProb:
     def test_mode_density_quarter_scale(self):
@@ -108,22 +104,20 @@ class TestSample:
             mol.sample(flat, np.zeros((2, 2)))
 
     def test_degenerate_scale_returns_location(self):
-        p = mol.MoLParams(np.ones(1), np.array([0.3]), np.array([mol.S_MIN]))
-        rng = np.random.default_rng(1)
-        draws = mol.sample_n(p, rng, 1000)
+        flat = np.array([0.0, 0.3, np.log(mol.S_MIN)])
+        draws = mol.sample(flat, mol.sample_noise(np.random.default_rng(1), 1, 1000)[0])
         assert np.max(np.abs(draws - 0.3)) < 5e-3
 
     def test_logistic_variance_monte_carlo(self):
-        p = mol.MoLParams(np.ones(1), np.zeros(1), np.ones(1))
-        draws = mol.sample_n(p, np.random.default_rng(42), 10**6)
+        noise = mol.sample_noise(np.random.default_rng(42), 1, 10**6)[0]
+        draws = mol.sample(np.zeros(3), noise)  # location 0, scale 1
         assert draws.var() == pytest.approx(PI2_3, rel=0.01)
 
     def test_fixed_seed_reproducible(self):
-        p = mol.constrain(random_raw(np.random.default_rng(2)))
-        a = mol.sample_n(p, np.random.default_rng(123), 64)
-        b = mol.sample_n(p, np.random.default_rng(123), 64)
+        raw = random_raw(np.random.default_rng(2))
+        a = mol.sample(raw, mol.sample_noise(np.random.default_rng(123), 1, 64)[0])
+        b = mol.sample(raw, mol.sample_noise(np.random.default_rng(123), 1, 64)[0])
         assert np.array_equal(a, b)
-
 
     def test_noise_is_the_call_by_call_stream(self):
         # drawing every call's uniforms up front changes no draw
@@ -139,65 +133,70 @@ class TestSample:
 class TestMoments:
     def test_mean_symmetry(self):
         p = mol.MoLParams(np.array([0.5, 0.5]), np.array([-1.0, 1.0]), np.full(2, 0.1))
-        assert mol.mixture_mean(p) == pytest.approx(0.0, abs=1e-15)
+        assert mol.mixture_moments(p)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_mean_single(self):
         p = mol.MoLParams(np.ones(1), np.array([0.37]), np.ones(1))
-        assert mol.mixture_mean(p) == 0.37
+        assert mol.mixture_moments(p)[0] == 0.37
 
     def test_mean_weighted(self):
         p = mol.MoLParams(np.array([0.25, 0.75]), np.array([0.0, 1.0]), np.full(2, 0.1))
-        assert mol.mixture_mean(p) == pytest.approx(0.75, abs=1e-15)
+        assert mol.mixture_moments(p)[0] == pytest.approx(0.75, abs=1e-15)
 
     def test_variance_single_component(self):
         p = mol.MoLParams(np.ones(1), np.zeros(1), np.ones(1))
-        assert mol.mixture_variance(p) == pytest.approx(3.289868, abs=1e-6)
+        assert mol.mixture_moments(p)[1] == pytest.approx(3.289868, abs=1e-6)
 
     def test_variance_bimodal_spread(self):
         p = mol.MoLParams(
             np.array([0.5, 0.5]), np.array([-1.0, 1.0]), np.full(2, mol.S_MIN)
         )
-        assert mol.mixture_variance(p) == pytest.approx(1.0, abs=1e-6)
+        assert mol.mixture_moments(p)[1] == pytest.approx(1.0, abs=1e-6)
 
     def test_variance_matches_monte_carlo(self):
+        # decode's draws from a flat row against the moments of its constrained form
         rng = np.random.default_rng(10)
         for _ in range(5):
-            p = mol.constrain(np.concatenate([rng.normal(0, 1, 4), rng.uniform(-1.5, 1.5, 4),
-                                              rng.uniform(-2.3, 0.0, 4)]))
-            draws = mol.sample_n(p, np.random.default_rng(7), 10**6)
-            assert draws.var() == pytest.approx(float(mol.mixture_variance(p)), rel=0.01)
+            raw = np.concatenate([rng.normal(0, 1, 4), rng.uniform(-1.5, 1.5, 4),
+                                  rng.uniform(-2.3, 0.0, 4)])
+            draws = mol.sample(raw, mol.sample_noise(np.random.default_rng(7), 1, 10**6)[0])
+            var = mol.mixture_moments(mol.constrain(raw))[1]
+            assert draws.var() == pytest.approx(float(var), rel=0.01)
 
     def test_variance_nonnegative(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
-            var = mol.mixture_variance(mol.constrain(random_raw(rng)))
+            var = mol.mixture_moments(mol.constrain(random_raw(rng)))[1]
             assert var >= -1e-12
 
 
 class TestRegularizers:
+    """`reg_term` over a batch's mixture variances; J_var is its mean."""
+
     def test_jvar_linear_single(self):
-        p = mol.MoLParams(np.ones((1, 1)), np.zeros((1, 1)), np.ones((1, 1)))
-        assert mol.jvar_linear(p) == pytest.approx(PI2_3, abs=1e-12)
+        var = mol.mixture_moments(mol.MoLParams(np.ones(1), np.zeros(1), np.ones(1)))[1]
+        assert mol.reg_term(var, 0.0, "linear") == pytest.approx(PI2_3, abs=1e-12)
 
     def test_jvar_linear_mean_of_two(self):
         p = mol.MoLParams(np.ones((2, 1)), np.zeros((2, 1)), np.array([[1.0], [2.0]]))
-        a, b = PI2_3, 4.0 * PI2_3
-        assert mol.jvar_linear(p) == pytest.approx((a + b) / 2.0, abs=1e-12)
+        jvar = np.mean(mol.reg_term(mol.mixture_moments(p)[1], 0.0, "linear"))
+        assert jvar == pytest.approx((PI2_3 + 4.0 * PI2_3) / 2.0, abs=1e-12)
 
     def test_jvar_linear_scale_law(self):
-        p1 = mol.MoLParams(np.ones((1, 1)), np.zeros((1, 1)), np.array([[0.5]]))
-        p2 = mol.MoLParams(np.ones((1, 1)), np.zeros((1, 1)), np.array([[1.0]]))
-        assert mol.jvar_linear(p2) == pytest.approx(4.0 * mol.jvar_linear(p1), rel=1e-12)
+        p = mol.MoLParams(np.ones((2, 1)), np.zeros((2, 1)), np.array([[0.5], [1.0]]))
+        small, large = mol.reg_term(mol.mixture_moments(p)[1], 0.0, "linear")
+        assert large == pytest.approx(4.0 * small, rel=1e-12)
 
     def test_jvar_log_floor(self):
         p = mol.MoLParams(np.ones((3, 1)), np.zeros((3, 1)), np.zeros((3, 1)))
-        assert mol.jvar_log(p, a=1e-4) == pytest.approx(np.log(1e-4), abs=1e-12)
+        jvar = np.mean(mol.reg_term(mol.mixture_moments(p)[1], 1e-4, "log"))
+        assert jvar == pytest.approx(np.log(1e-4), abs=1e-12)
 
     def test_jvar_log_zero_crossing(self):
         a = 1e-4
         s = (1.0 - a) * np.sqrt(3.0) / np.pi
-        p = mol.MoLParams(np.ones((1, 1)), np.zeros((1, 1)), np.array([[s]]))
-        assert mol.jvar_log(p, a=a) == pytest.approx(0.0, abs=1e-12)
+        var = mol.mixture_moments(mol.MoLParams(np.ones(1), np.zeros(1), np.array([s])))[1]
+        assert mol.reg_term(var, a, "log") == pytest.approx(0.0, abs=1e-12)
 
     def test_jvar_log_shift_under_scaling(self):
         rng = np.random.default_rng(3)
@@ -205,51 +204,45 @@ class TestRegularizers:
         mus = rng.uniform(-1, 1, (6, 4))
         s = rng.uniform(0.3, 1.0, (6, 4))
         c = 10.0
-        base = mol.jvar_log(mol.MoLParams(gam, mus, s), a=1e-4)
-        scaled = mol.jvar_log(mol.MoLParams(gam, c * mus, c * s), a=1e-4)
+        base, scaled = (np.mean(mol.reg_term(mol.mixture_moments(p)[1], 1e-4, "log"))
+                        for p in (mol.MoLParams(gam, mus, s),
+                                  mol.MoLParams(gam, c * mus, c * s)))
         assert scaled - base == pytest.approx(np.log(c), abs=1e-3)
-
-    def test_empty_batch_rejected(self):
-        p = mol.MoLParams(np.ones((0, 2)), np.zeros((0, 2)), np.ones((0, 2)))
-        with pytest.raises(ValueError):
-            mol.jvar_linear(p)
 
 
 class TestBaseline:
+    """The train-mode density is -`head_terms(...).nll`; the infer-mode one is
+    the plain mixture's `log_prob`, whatever gamma0."""
+
     def test_gamma0_zero_bit_for_bit(self):
         rng = np.random.default_rng(21)
         raw = random_raw(rng, k=4)
         x = rng.normal(0, 1, 9)
         plain = mol.log_prob(x, mol.constrain(raw))
-        spec = mol.BaselineSpec(0.0)
-        assert np.array_equal(mol.baseline_log_prob(x, raw, spec, "train"), plain)
-        assert np.array_equal(mol.baseline_log_prob(x, raw, spec, "infer"), plain)
+        train = -mol.head_terms(x, np.tile(raw, (9, 1)), 1, gamma0=0.0, grads=False).nll
+        assert np.array_equal(train, plain)
 
     def test_infer_density_normalizes(self):
         rng = np.random.default_rng(22)
-        raw = random_raw(rng, k=3)
-        spec = mol.BaselineSpec(0.4, mu0=0.0, s0=8.0)
-        total, _ = quad(
-            lambda t: np.exp(float(mol.baseline_log_prob(t, raw, spec, "infer"))),
-            -50.0, 50.0, limit=500,
-        )
+        p = mol.constrain(random_raw(rng, k=3))
+        total, _ = quad(lambda t: np.exp(float(mol.log_prob(t, p))), -50.0, 50.0, limit=500)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_train_mode_lower_bounded_by_baseline(self):
         raw = np.concatenate([np.zeros(2), np.zeros(2), np.full(2, -2.0)])
-        spec = mol.BaselineSpec(0.5, mu0=0.0, s0=10.0)
-        x = 35.0  # far in the tail of the learned components
-        lp = float(mol.baseline_log_prob(x, raw, spec, "train"))
-        z0 = (x - spec.mu0) / spec.s0
-        baseline_term = np.log(spec.gamma0) - z0 - 2 * np.log1p(np.exp(-z0)) - np.log(spec.s0)
+        gamma0, x = 0.5, 35.0  # far in the tail of the learned components
+        lp = -mol.head_terms(np.array([x]), raw[None], 1, gamma0=gamma0, grads=False).nll[0]
+        z0 = (x - mol.BASELINE_MU0) / mol.BASELINE_S0
+        baseline_term = (np.log(gamma0) - z0 - 2 * np.log1p(np.exp(-z0))
+                         - np.log(mol.BASELINE_S0))
         assert lp >= baseline_term
 
     def test_train_mode_mixes_in_baseline_mass(self):
         rng = np.random.default_rng(23)
-        raw = random_raw(rng, k=3)
-        spec = mol.BaselineSpec(0.3, mu0=0.0, s0=5.0)
+        row = random_raw(rng, k=3)[None]
         total, _ = quad(
-            lambda t: np.exp(float(mol.baseline_log_prob(t, raw, spec, "train"))),
+            lambda t: np.exp(-mol.head_terms(np.array([t]), row, 1, gamma0=0.3,
+                                             grads=False).nll[0]),
             -400.0, 400.0, limit=800,
         )
         assert total == pytest.approx(1.0, abs=1e-5)
@@ -259,16 +252,15 @@ class TestGradients:
     """Finite differences on `head_terms`, the function teacher forcing runs."""
 
     @staticmethod
-    def _objective(x, raw, nu, regularizer, reg_bands, baseline):
+    def _objective(x, raw, nu, regularizer, reg_bands, gamma0):
         """sum(nll) + nu * sum(reg) and its analytic gradient, flattened."""
-        t = mol.head_terms(x, raw, reg_bands, 1e-4, regularizer, baseline)
+        t = mol.head_terms(x, raw, reg_bands, 1e-4, regularizer, gamma0)
         g = t.d_nll.copy()
         g[:reg_bands] += nu * t.d_reg
         return float(np.sum(t.nll) + nu * np.sum(t.reg)), g.ravel()
 
     def _fd_check(self, nu, regularizer, trials=100, seed=0, gamma0=0.0):
         rng = np.random.default_rng(seed)
-        baseline = mol.BaselineSpec(gamma0) if gamma0 else None
         worst = 0.0
         for _ in range(trials):
             n_bands, k = int(rng.integers(1, 4)), int(rng.integers(1, 6))
@@ -276,7 +268,7 @@ class TestGradients:
                                   rng.uniform(-2.5, 1.2, (n_bands, k))], axis=-1)
             x = rng.normal(0, 2, n_bands)
             reg_bands = int(rng.integers(1, n_bands + 1))
-            args = (x, raw, nu, regularizer, reg_bands, baseline)
+            args = (x, raw, nu, regularizer, reg_bands, gamma0)
             _, analytic = self._objective(*args)
             numeric = []
             for i in np.ndindex(raw.shape):
@@ -308,15 +300,16 @@ class TestGradients:
         raw = np.concatenate([rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (3, 4)),
                               rng.uniform(-2.5, 1.2, (3, 4))], axis=-1)
         x = rng.normal(0, 1, 3)
-        nll, d = mol.nll_grad(x, mol.constrain(raw), mol.scale_active(raw))
-        for baseline in (None, mol.BaselineSpec(0.0)):
-            t = mol.head_terms(x, raw, 2, baseline=baseline)
-            assert np.array_equal(t.nll, nll)
-            assert np.array_equal(t.d_nll, d)
-            # the forward-only head gives the same NLL and no gradient
-            forward = mol.head_terms(x, raw, 2, baseline=baseline, grads=False)
-            assert np.array_equal(forward.nll, nll)
-            assert forward.d_nll is None and forward.d_reg is None
+        p = mol.constrain(raw)
+        nll, d = mol.nll_grad(x, p, np.ones_like(p.scales))  # no log scale is clamped
+        t = mol.head_terms(x, raw, 2, gamma0=0.0)
+        assert np.array_equal(t.nll, nll)
+        assert np.array_equal(t.d_nll, d)
+        # the forward-only head gives the same terms and no gradient
+        forward = mol.head_terms(x, raw, 2, gamma0=0.0, grads=False)
+        assert np.array_equal(forward.nll, nll)
+        assert np.array_equal(forward.reg, t.reg)
+        assert forward.d_nll is None and forward.d_reg is None
 
     def test_stationary_at_location_optimum(self):
         # for K=1 the NLL in mu is minimized at mu = x
