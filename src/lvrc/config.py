@@ -26,10 +26,8 @@ class FeatureConfig:
     window_ms: float = 80.0
     hop_ms: float = 20.0
     n_mels: int = 160
-    fft_size: int = 0  # 0 -> next power of two >= window length
     mel_fmin: float = 0.0
     mel_fmax: float = 0.0  # 0 -> sample_rate / 2
-    log_floor: float = 1e-10
 
     @property
     def window_length(self) -> int:
@@ -43,28 +41,27 @@ class FeatureConfig:
     def frame_rate(self) -> float:
         return 1000.0 / self.hop_ms
 
-    def resolved_fft_size(self) -> int:
-        if self.fft_size:
-            return self.fft_size
+    @property
+    def fft_size(self) -> int:
+        """The next power of two >= the window length."""
         n = 1
         while n < self.window_length:
             n *= 2
         return n
 
     def resolved_fmax(self) -> float:
-        return self.mel_fmax if self.mel_fmax > 0 else self.sample_rate / 2.0
+        return self.mel_fmax or self.sample_rate / 2.0
 
     def validate(self) -> None:
         if self.hop_ms <= 0:
             raise ConfigError("hop_ms must be positive")
         if self.window_ms < self.hop_ms:
             raise ConfigError("window_ms must be >= hop_ms")
-        if self.resolved_fft_size() < self.window_length:
-            raise ConfigError("fft_size must cover the analysis window")
-        if self.n_mels >= self.resolved_fft_size() // 2:
+        if self.n_mels >= self.fft_size // 2:
             raise ConfigError("n_mels must be < fft_size/2")
-        if self.log_floor <= 0:
-            raise ConfigError("log_floor must be positive")
+        # an empty or out-of-band mel range leaves filters at the log floor on every input
+        if not 0 <= self.mel_fmin < self.resolved_fmax() <= self.sample_rate / 2.0:
+            raise ConfigError("mel band must satisfy 0 <= mel_fmin < mel_fmax <= sample_rate/2")
 
 
 @dataclass
@@ -80,9 +77,6 @@ class ModelConfig:
     sample_rate: int = 16000
     gru_blocks: int = 1  # >1 switches the six gate matrices to block-diagonal
     fb_taps: int = 192
-    # Fixed affine normalization applied to log mels before the input layer.
-    mel_offset: float = 11.5
-    mel_scale: float = 0.125
     dtype: str = "float64"
 
     @property
@@ -94,10 +88,14 @@ class ModelConfig:
         return self.band_rate // (self.frame_rate * 8)
 
     def validate(self) -> None:
-        for key in ("n_bands", "n_mix", "gru_state", "cond_channels", "n_mels", "frame_rate",
+        for key in ("n_mix", "gru_state", "cond_channels", "n_mels", "frame_rate",
                     "sample_rate", "gru_blocks", "fb_taps"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        if self.n_bands < 2:  # the filterbank splits the signal into >= 2 bands
+            raise ConfigError("n_bands must be >= 2")
+        if self.fb_taps % (2 * self.n_bands) != 0:
+            raise ConfigError("fb_taps must be a multiple of 2*n_bands")
         if self.sample_rate % self.n_bands != 0:
             raise ConfigError("sample_rate must be divisible by n_bands")
         if self.band_rate % (self.frame_rate * 8) != 0:
@@ -116,8 +114,6 @@ class QuantizerConfig:
     bits_per_supervector: int = 120
     split_dim: int = 2
     max_bits_per_split: int = 8
-    kmeans_iters: int = 50
-    kmeans_tol: float = 1e-6
     seed: int = 1234
 
     def validate(self) -> None:
@@ -143,9 +139,6 @@ class TrainConfig:
     snr_min: float = 0.0
     snr_max: float = 40.0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     pruning: bool = False
     prune_start: int = 0
     prune_end: int = 1000
@@ -170,7 +163,7 @@ class TrainConfig:
             raise ConfigError("prune_end must be >= prune_start")
         if not 0 <= self.baseline_gamma0 < 1:
             raise ConfigError("baseline_gamma0 must be in [0, 1)")
-        for key in ("batch_size", "prune_interval", "checkpoint_interval", "clip_seconds"):
+        for key in ("batch_size", "lr", "prune_interval", "checkpoint_interval", "clip_seconds"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
 

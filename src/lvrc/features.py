@@ -17,6 +17,8 @@ from .audio import AudioBuffer
 from .config import FeatureConfig
 from .errors import ConfigError
 
+LOG_FLOOR = 1e-10  # mel energies are floored here before the log
+
 
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -31,7 +33,7 @@ def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
 
     Designed once per distinct setting and shared: the array is read-only.
     """
-    return _mel_filterbank(cfg.sample_rate, cfg.resolved_fft_size(), cfg.mel_fmin,
+    return _mel_filterbank(cfg.sample_rate, cfg.fft_size, cfg.mel_fmin,
                            cfg.resolved_fmax(), cfg.n_mels)
 
 
@@ -99,7 +101,7 @@ def log_mel_features(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     if len(frames) == 0:
         return np.zeros((0, cfg.n_mels))
     win = _analysis_window(cfg.window_length)
-    spectra = np.fft.rfft(frames * win, n=cfg.resolved_fft_size(), axis=1)
+    spectra = np.fft.rfft(frames * win, n=cfg.fft_size, axis=1)
     power = spectra.real**2 + spectra.imag**2
     mel = power @ mel_filterbank(cfg).T
-    return np.log(np.maximum(mel, cfg.log_floor))
+    return np.log(np.maximum(mel, LOG_FLOOR))

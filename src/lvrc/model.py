@@ -45,6 +45,8 @@ from .neural import (
 )
 
 CHECKPOINT_MAGIC = b"LVRW"
+# The fixed affine map of log mels into the conditioning stack's input layer.
+MEL_OFFSET, MEL_SCALE = 11.5, 0.125
 # The conditioning stack's tanh layers in order as (tag, `conv_forward` tap
 # delays), None marking a stride-2 transpose convolution; "proj" follows.
 _LAYERS = (("in", (1, 0, -1)), ("dil0", (1, 0)), ("dil1", (2, 0)), ("dil2", (4, 0)),
@@ -80,7 +82,7 @@ class ConditioningStack:
         """Returns (conditioning (B, F*8, H), cache for backward)."""
         if mels.shape[1] == 0:
             raise ConfigError("conditioning requires at least one mel frame")
-        x = (mels + self.cfg.mel_offset) * self.cfg.mel_scale
+        x = (mels + MEL_OFFSET) * MEL_SCALE
         acts = [x]  # the input and each tanh layer's output
         for tag, delays in _LAYERS:
             w, b = self._wb(tag)
@@ -117,7 +119,7 @@ class CodecModel:
         h, n, k = cfg.gru_state, cfg.n_bands, cfg.n_mix
 
         self.cond = ConditioningStack(cfg, rng, self.dtype)
-        self.gru = GRUCell(h, h, rng, blocks=cfg.gru_blocks, name="gru", dtype=self.dtype)
+        self.gru = GRUCell(h, rng, blocks=cfg.gru_blocks, dtype=self.dtype)
         self.in_proj_w = Parameter("in_proj.w", init_weight(rng, (h, n), n, h, self.dtype))
         self.in_proj_b = Parameter("in_proj.b", np.zeros(h, self.dtype))
         self.out_w = Parameter("out.w", init_weight(rng, (n * k * 3, h), h, n * k * 3, self.dtype))

@@ -121,6 +121,9 @@ def block_parameter_count(size_out: int, size_in: int, blocks: int) -> int:
 class GRUCell:
     """Standard GRU: z, r gates and candidate, h' = (1-z)*h + z*cand.
 
+    The input has the state's size H, and the parameters are named
+    `gru.<tag>`.
+
     The six gate matrices are block-diagonal with `blocks` blocks (the
     pruned deployment structure); dense is one block on the same code.
     Inside, arrays are split per block as (blocks, batch, ·); `step` and
@@ -135,11 +138,10 @@ class GRUCell:
     is the only caller that holds a cache across other work.
     """
 
-    def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator,
-                 blocks: int = 1, name: str = "gru", dtype=np.float64):
-        if blocks < 1 or hidden % blocks or input_dim % blocks:
-            raise ConfigError("blocks must be >= 1 and divide the hidden and input dims")
-        self.input_dim = input_dim
+    def __init__(self, hidden: int, rng: np.random.Generator, blocks: int = 1,
+                 dtype=np.float64):
+        if blocks < 1 or hidden % blocks:
+            raise ConfigError("blocks must be >= 1 and divide the hidden dim")
         self.hidden = hidden
         self.blocks = blocks
         self.params: dict[str, Parameter] = {}
@@ -147,12 +149,12 @@ class GRUCell:
         def make(tag, rows, cols):
             rb, cb = rows // blocks, cols // blocks
             shape = (rows, cols) if blocks == 1 else (blocks, rb, cb)
-            self.params[tag] = Parameter(f"{name}.{tag}", init_weight(rng, shape, cb, rb, dtype))
+            self.params[tag] = Parameter(f"gru.{tag}", init_weight(rng, shape, cb, rb, dtype))
 
         for gate in ("z", "r", "h"):
-            make(f"U{gate}", hidden, input_dim)
+            make(f"U{gate}", hidden, hidden)
             make(f"R{gate}", hidden, hidden)
-            self.params[f"b{gate}"] = Parameter(f"{name}.b{gate}", np.zeros(hidden, dtype))
+            self.params[f"b{gate}"] = Parameter(f"gru.b{gate}", np.zeros(hidden, dtype))
         self._seq_key = None
         self._seq: dict[str, np.ndarray] = {}
         self._live_cache = None  # the token of the one cache backward may use
@@ -415,6 +417,9 @@ def transpose_conv_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
 # optimizer and pruning
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction; masked entries are re-zeroed after each step.
 
@@ -422,11 +427,8 @@ class Adam:
     counted in `skipped_updates`.
     """
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.skipped_updates = 0
         self.slots: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -441,11 +443,11 @@ class Adam:
             if p.name not in self.slots:
                 self.slots[p.name] = (np.zeros_like(p.value), np.zeros_like(p.value))
             m, v = self.slots[p.name]
-            m += (1.0 - self.beta1) * (p.grad - m)
-            v += (1.0 - self.beta2) * (p.grad**2 - v)
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m += (1.0 - ADAM_BETA1) * (p.grad - m)
+            v += (1.0 - ADAM_BETA2) * (p.grad**2 - v)
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             p.apply_mask()
 
     def state_arrays(self) -> dict[str, np.ndarray]:

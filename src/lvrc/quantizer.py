@@ -24,6 +24,9 @@ from .errors import ConfigError, DigestError, FormatError, FramingError
 BITSTREAM_MAGIC = b"LVRC"
 BITSTREAM_VERSION = 1
 MODEL_MAGIC = b"LVRQ"
+# Lloyd iterations per codebook at most, and the relative distortion change
+# below which `kmeans` stops early.
+KMEANS_ITERS, KMEANS_TOL = 50, 1e-6
 
 
 def stack_supervectors(frames: np.ndarray, stack: int) -> np.ndarray:
@@ -152,15 +155,14 @@ def _nearest(points: np.ndarray, centroids: np.ndarray, chunk: int = 8192):
     return out, np.maximum(dmin, 0.0)
 
 
-def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-           iters: int = 50, tol: float = 1e-6):
+def kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     """Lloyd iterations with k-means++ seeding.
 
     Each iteration moves the centroids to their members' means and then
     runs one nearest-centroid search, whose assignment the next iteration
     starts from. Empty clusters are re-seeded to the point farthest from
     its assigned centroid. It stops when the distortion changes by less
-    than `tol` of itself, or is zero to within the search's rounding
+    than `KMEANS_TOL` of itself, or is zero to within the search's rounding
     (every point on a centroid, as when there are fewer distinct points
     than centroids). Returns (centroids, mean squared distortion trace).
     """
@@ -174,7 +176,7 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     zero = 4.0 * np.finfo(np.float64).eps * float(np.mean(np.sum(points**2, axis=1)))
     trace = []
     prev = np.inf
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         for j in range(k):
             members = assign == j
             if members.any():
@@ -186,7 +188,7 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
         assign, d2 = _nearest(points, centroids)
         dist = float(d2.mean())
         trace.append(dist)
-        if dist <= zero or abs(prev - dist) < tol * max(dist, 1e-30):
+        if dist <= zero or abs(prev - dist) < KMEANS_TOL * max(dist, 1e-30):
             break
         prev = dist
     return centroids, trace
@@ -219,9 +221,8 @@ def fit_codebooks(coefficients: np.ndarray, allocations: np.ndarray,
     codebooks = []
     for j, (cols, bits) in enumerate(zip(splits, allocations)):
         rng = np.random.default_rng([cfg.seed, j])
-        codebooks.append(kmeans(coefficients[:, cols], 2**int(bits), rng,
-                                iters=cfg.kmeans_iters, tol=cfg.kmeans_tol)[0]
-                         if bits else np.zeros((1, cols.stop - cols.start)))
+        codebooks.append(kmeans(coefficients[:, cols], 2**int(bits), rng)[0] if bits
+                         else np.zeros((1, cols.stop - cols.start)))
     return SplitVQModel(cfg.split_dim, allocations, codebooks)
 
 

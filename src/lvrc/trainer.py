@@ -130,12 +130,15 @@ def mix_noise(clean: AudioBuffer, noise: AudioBuffer | None, snr_db: float,
 # ---------------------------------------------------------------------------
 
 TONE_PITCHES = (220.0,)
+HARMONIC_ROLLOFF = 4.0  # harmonic h has amplitude h**-HARMONIC_ROLLOFF
+BURST_MS, GAP_MS = 45.0, 25.0  # `tone_burst_train`'s tone and silence lengths
+VOICED_FRACTION = 0.7  # share of a synthetic clip's segments that are tones
+CLICK_RATE = 10.0  # clicks per second in a synthetic clip
 
 
 def harmonic_tone(rng: np.random.Generator, sample_rate: int, n_samples: int,
-                  f0: float | None = None, vibrato: bool = True,
-                  harmonic_rolloff: float = 4.0) -> np.ndarray:
-    """Harmonic tone with optional 5 Hz vibrato; amplitude ~ 1/h**rolloff.
+                  f0: float | None = None, vibrato: bool = True) -> np.ndarray:
+    """Harmonic tone with optional 5 Hz vibrato; amplitude ~ 1/h**HARMONIC_ROLLOFF.
 
     Without an explicit f0, the pitch is drawn from TONE_PITCHES, which
     holds one pitch (220 Hz), with ~1% jitter, so every toy tone has the
@@ -153,7 +156,7 @@ def harmonic_tone(rng: np.random.Generator, sample_rate: int, n_samples: int,
     out = np.zeros(n_samples)
     h = 1
     while h * f0 < 0.45 * sample_rate and h <= 6:
-        out += (h ** -harmonic_rolloff) * np.sin(h * phase + rng.uniform(0, 2 * np.pi))
+        out += (h ** -HARMONIC_ROLLOFF) * np.sin(h * phase + rng.uniform(0, 2 * np.pi))
         h += 1
     out *= 0.45 / max(np.max(np.abs(out)), 1e-9)
     # onsets stay sharp (the analysis filterbank smears them anyway); a
@@ -166,15 +169,15 @@ def harmonic_tone(rng: np.random.Generator, sample_rate: int, n_samples: int,
 
 
 def tone_burst_train(rng: np.random.Generator, sample_rate: int, n_samples: int,
-                     f0: float, burst_ms: float = 45.0, gap_ms: float = 25.0) -> np.ndarray:
+                     f0: float) -> np.ndarray:
     """Repeated short tone bursts at one pitch, separated by silence.
 
     Matches the onset-rich structure of the training clips; useful as a
     decode test signal whose pitch must come from the conditioning.
     """
     out = np.zeros(n_samples)
-    burst = int(burst_ms * sample_rate / 1000.0)
-    gap = int(gap_ms * sample_rate / 1000.0)
+    burst = int(BURST_MS * sample_rate / 1000.0)
+    gap = int(GAP_MS * sample_rate / 1000.0)
     pos = 0
     while pos + burst <= n_samples:
         out[pos : pos + burst] = harmonic_tone(rng, sample_rate, burst, f0=f0,
@@ -192,8 +195,7 @@ def noise_burst(rng: np.random.Generator, n_samples: int) -> np.ndarray:
     return 0.12 * x / max(np.max(np.abs(x)), 1e-9)
 
 
-def synthetic_clip(rng: np.random.Generator, sample_rate: int, n_samples: int,
-                   voiced_fraction: float = 0.7, click_rate: float = 10.0) -> np.ndarray:
+def synthetic_clip(rng: np.random.Generator, sample_rate: int, n_samples: int) -> np.ndarray:
     """Short voiced tone segments among noise bursts and gaps, plus rare clicks.
 
     Segments are kept short so clips are onset-rich: right after each tone
@@ -209,13 +211,13 @@ def synthetic_clip(rng: np.random.Generator, sample_rate: int, n_samples: int,
         seg = int(rng.integers(n_samples // 5, max(n_samples // 3, n_samples // 5 + 1)))
         seg = min(seg, n_samples - pos)
         draw = rng.random()
-        if draw < voiced_fraction:
+        if draw < VOICED_FRACTION:
             out[pos : pos + seg] = harmonic_tone(rng, sample_rate, seg)
-        elif draw < voiced_fraction + 0.5 * (1.0 - voiced_fraction):
+        elif draw < VOICED_FRACTION + 0.5 * (1.0 - VOICED_FRACTION):
             out[pos : pos + seg] = noise_burst(rng, seg)
         # else: leave a silent gap
         pos += seg
-    for _ in range(rng.poisson(click_rate * n_samples / sample_rate)):
+    for _ in range(rng.poisson(CLICK_RATE * n_samples / sample_rate)):
         at = int(rng.integers(0, n_samples))
         amp = rng.uniform(0.25, 0.6) * rng.choice((-1.0, 1.0))
         out[at : at + 2] += amp
@@ -408,7 +410,7 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
     os.makedirs(out_dir, exist_ok=True)
     dataset = dataset or ClipDataset.synthetic(cfg)
     model = CodecModel(cfg.model, seed=tc.seed)
-    optimizer = Adam(lr=tc.lr, beta1=tc.beta1, beta2=tc.beta2, eps=tc.adam_eps)
+    optimizer = Adam(lr=tc.lr)
     params = model.parameters()
     digest = cfg.digest()
 

@@ -87,7 +87,7 @@ def test_criterion_02_gradient_suite():
         fb = lambda: float(np.sum(neural.dense_forward(xb, wb, bb) * cb))
         check(dxb, fb, xb), check(dwb, fb, wb), check(dbb, fb, bb)
 
-        cell = neural.GRUCell(4, 4, rng, blocks=int(rng.choice([1, 2])))
+        cell = neural.GRUCell(4, rng, blocks=int(rng.choice([1, 2])))
         xs, h0 = rng.normal(0, 1, (2, 3, 4)), rng.normal(0, 1, (2, 4))
         cg = rng.normal(0, 1, (2, 3, 4))
 
@@ -172,8 +172,8 @@ def test_criterion_04_block_diagonal_parameter_count():
     """1024-state GRU gates with 16 blocks use exactly 1/16 of dense weights."""
     assert block_parameter_count(1024, 1024, 16) == 65536 == 1048576 // 16
     rng = np.random.default_rng(0)
-    dense = GRUCell(1024, 1024, rng, blocks=1)
-    blocked = GRUCell(1024, 1024, rng, blocks=16)
+    dense = GRUCell(1024, rng, blocks=1)
+    blocked = GRUCell(1024, rng, blocks=16)
     dense_w, blocked_w = dense.weight_parameter_count(), blocked.weight_parameter_count()
     assert dense_w == 6 * 1024 * 1024
     assert blocked_w * 16 == dense_w

@@ -13,12 +13,29 @@ def test_text_round_trip():
     parsed = parse_config(cfg.to_text())
     assert parsed.digest() == cfg.digest()
     assert parsed.model.gru_state == cfg.model.gru_state
-    assert parsed.features.log_floor == cfg.features.log_floor
+    assert parsed.features.mel_fmax == cfg.features.mel_fmax
 
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("model.flux_capacitor = 1\n")
+
+
+@pytest.mark.parametrize("line", [
+    "features.fft_size = 0",
+    "features.log_floor = 1e-10",
+    "model.mel_offset = 11.5",
+    "model.mel_scale = 0.125",
+    "quantizer.kmeans_iters = 50",
+    "quantizer.kmeans_tol = 1e-06",
+    "train.beta1 = 0.9",
+    "train.beta2 = 0.999",
+    "train.adam_eps = 1e-08",
+])
+def test_constant_keys_rejected(line):
+    # module constants, not keys: a file that names one predates the 39-key set
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(line + "\n")
 
 
 def test_digest_stable_under_reordering():
@@ -54,9 +71,21 @@ def test_bad_values_rejected():
                 "train.lr = inf",
                 "train.var_floor = 0",  # ln(sigma + var_floor) needs a positive floor
                 "train.var_floor = -0.001",
+                "train.lr = 0",
+                "train.lr = -0.001",
+                "model.fb_taps = 100",  # not a multiple of 2 * n_bands
+                "model.n_bands = 1\ntrain.reg_bands = 1",
+                "features.mel_fmax = -5",
+                "features.mel_fmax = 9000",  # above the 8 kHz Nyquist
                 "quantizer.bits_per_supervector = 1281"):  # 160 splits of <= 8 bits
         with pytest.raises(ConfigError):
             parse_config(bad + "\n")
+    for key, value in (("mel_fmax", 6000.0), ("mel_fmin", 3000.0), ("mel_fmin", -1.0),
+                       ("mel_fmin", 2000.0)):  # the toy preset: 8 kHz, mel_fmax 2000
+        cfg = toy_config()
+        setattr(cfg.features, key, value)
+        with pytest.raises(ConfigError, match="mel band"):
+            cfg.validate()
 
 
 @pytest.mark.parametrize("lines", [

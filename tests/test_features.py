@@ -8,6 +8,7 @@ from lvrc.audio import AudioBuffer
 from lvrc.config import FeatureConfig, paper_config, toy_config
 from lvrc.errors import ConfigError
 from lvrc.features import (
+    LOG_FLOOR,
     _analysis_window,
     filter_center_frequencies,
     frame_signal,
@@ -21,7 +22,7 @@ PAPER = FeatureConfig()  # 16 kHz, 80 ms window, 20 ms hop, 160 mels
 def test_silence_hits_log_floor():
     audio = AudioBuffer(np.zeros(16000), 16000)
     mels = log_mel_features(audio, PAPER)
-    assert np.all(mels == np.log(PAPER.log_floor))
+    assert np.all(mels == np.log(LOG_FLOOR))
 
 
 def test_1khz_sine_peaks_at_nearest_center():
@@ -61,7 +62,7 @@ def test_scaling_shifts_log_energies():
     x = rng.uniform(-0.4, 0.4, 16000)
     a = log_mel_features(AudioBuffer(x, 16000), PAPER)
     b = log_mel_features(AudioBuffer(np.clip(2.0 * x, -1, 1), 16000), PAPER)
-    unfloored = a > np.log(PAPER.log_floor) + 1e-9
+    unfloored = a > np.log(LOG_FLOOR) + 1e-9
     shift = b[unfloored] - a[unfloored]
     assert np.allclose(shift, 2.0 * np.log(2.0), atol=1e-6)
 
@@ -79,9 +80,15 @@ def test_rate_mismatch_rejected():
         log_mel_features(AudioBuffer(np.zeros(8000), 8000), PAPER)
 
 
+def test_fft_size_is_next_power_of_two_over_window():
+    assert (PAPER.window_length, PAPER.fft_size) == (1280, 2048)
+    toy = toy_config().features
+    assert (toy.window_length, toy.fft_size) == (640, 1024)
+
+
 def test_filterbank_rows_normalized():
     fb = mel_filterbank(PAPER)
-    assert fb.shape == (PAPER.n_mels, PAPER.resolved_fft_size() // 2 + 1)
+    assert fb.shape == (PAPER.n_mels, PAPER.fft_size // 2 + 1)
     sums = fb.sum(axis=1)
     assert np.allclose(sums[sums > 0], 1.0, atol=1e-12)
     assert np.all(fb >= 0.0)

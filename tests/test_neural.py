@@ -100,7 +100,7 @@ class TestBlockDiagonal:
 
 class TestGRU:
     def test_zero_weights_fixed_point(self):
-        cell = neural.GRUCell(4, 4, np.random.default_rng(0))
+        cell = neural.GRUCell(4, np.random.default_rng(0))
         for p in cell.params.values():
             p.value[...] = 0.0
         h = cell.step(cell.input_gates(np.ones((2, 4))), np.zeros((2, 4)), cell.step_weights())
@@ -109,17 +109,17 @@ class TestGRU:
     @pytest.mark.parametrize("blocks", [0, -2, 3])
     def test_bad_block_count_rejected(self, blocks):
         with pytest.raises(ConfigError):
-            neural.GRUCell(8, 8, np.random.default_rng(0), blocks=blocks)
+            neural.GRUCell(8, np.random.default_rng(0), blocks=blocks)
 
     def test_sixteen_blocks_hold_a_sixteenth_of_dense_gate_weights(self):
         rng = np.random.default_rng(0)
-        dense = neural.GRUCell(64, 64, rng, blocks=1)
-        blocked = neural.GRUCell(64, 64, rng, blocks=16)
+        dense = neural.GRUCell(64, rng, blocks=1)
+        blocked = neural.GRUCell(64, rng, blocks=16)
         assert blocked.weight_parameter_count() == dense.weight_parameter_count() // 16
 
     def test_state_stays_in_unit_box(self):
         rng = np.random.default_rng(5)
-        cell = neural.GRUCell(4, 4, rng)
+        cell = neural.GRUCell(4, rng)
         h = rng.uniform(-0.99, 0.99, (8, 4))
         weights = cell.step_weights()
         for _ in range(50):
@@ -130,7 +130,7 @@ class TestGRU:
     def test_sequence_gradients(self, blocks):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            cell = neural.GRUCell(4, 4, rng, blocks=blocks)
+            cell = neural.GRUCell(4, rng, blocks=blocks)
             xs, h0 = rand(rng, 2, 4, 4), rand(rng, 2, 4)
             c = rand(rng, 2, 4, 4)
 
@@ -150,7 +150,7 @@ class TestGRU:
     @pytest.mark.parametrize("blocks", [1, 4])
     def test_step_matches_sequence(self, blocks):
         rng = np.random.default_rng(7)
-        cell = neural.GRUCell(8, 8, rng, blocks=blocks)
+        cell = neural.GRUCell(8, rng, blocks=blocks)
         xs, h0 = rand(rng, 3, 9, 8), rand(rng, 3, 8)
         hs, _ = cell.forward_sequence(xs, h0)
         h, weights = h0, cell.step_weights()
@@ -160,8 +160,8 @@ class TestGRU:
 
     def test_blocks_match_their_dense_expansion(self):
         rng = np.random.default_rng(15)
-        blocked = neural.GRUCell(8, 8, rng, blocks=4)
-        dense = neural.GRUCell(8, 8, rng)
+        blocked = neural.GRUCell(8, rng, blocks=4)
+        dense = neural.GRUCell(8, rng)
         for tag, p in blocked.params.items():
             p.value[...] = rand(rng, *p.value.shape)
             dense.params[tag].value[...] = block_expand(p.value) if p.value.ndim == 3 else p.value
@@ -182,7 +182,7 @@ class TestGRU:
 
     def test_sequence_buffers_are_reused_and_caches_checked(self):
         rng = np.random.default_rng(16)
-        cell = neural.GRUCell(8, 8, rng, blocks=2)
+        cell = neural.GRUCell(8, rng, blocks=2)
         xs, h0, c = rand(rng, 3, 5, 8), rand(rng, 3, 8), rand(rng, 3, 5, 8)
         first, stale = cell.forward_sequence(xs, h0)
         second, cache = cell.forward_sequence(xs + 1.0, h0)
@@ -201,7 +201,7 @@ class TestGRU:
         # the decoder adds the gates of the conditioning and of the previous
         # samples separately; U is linear, so only the bias must come once
         rng = np.random.default_rng(14)
-        cell = neural.GRUCell(8, 8, rng, blocks=4)
+        cell = neural.GRUCell(8, rng, blocks=4)
         for p in cell.params.values():
             p.value[...] = rand(rng, *p.value.shape)
         a, b = rand(rng, 5, 8), rand(rng, 5, 8)
@@ -210,8 +210,8 @@ class TestGRU:
 
     def test_block_gates_use_sixteenth_of_dense(self):
         rng = np.random.default_rng(8)
-        dense = neural.GRUCell(1024, 1024, rng)
-        blocked = neural.GRUCell(1024, 1024, rng, blocks=16)
+        dense = neural.GRUCell(1024, rng)
+        blocked = neural.GRUCell(1024, rng, blocks=16)
         assert blocked.weight_parameter_count() * 16 == dense.weight_parameter_count()
 
 

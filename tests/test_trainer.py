@@ -302,7 +302,7 @@ class TestTrainingLoop:
         result = train(cfg, tmp_path / "run", dataset=dataset)
         other = toy_config()
         other.model.n_mix = 8
-        other.features.log_floor = 1e-9
+        other.features.mel_fmin = 50.0
         model = CodecModel(other.model, seed=0)
         with pytest.raises(DigestError):
             model.load_checkpoint(result.checkpoint_path, expected_digest=other.digest())
