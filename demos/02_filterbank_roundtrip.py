@@ -5,16 +5,16 @@ Run:  python demos/02_filterbank_roundtrip.py
 
 import numpy as np
 
-from lvrc.filterbank import Filterbank, FilterbankSpec, snr_db
+from lvrc.filterbank import Filterbank, snr_db
 from lvrc.trainer import synthetic_clip
 
-spec = FilterbankSpec(n_bands=4, prototype_taps=192)
-bank = Filterbank(spec)
+n_bands = 4
+bank = Filterbank(n_bands, 192)
 
 print("== prototype ==")
 proto = bank.prototype
-print(f"taps: {len(proto)}, sum: {proto.sum():.6f} (target {spec.dc_sum_target:.6f})")
-w = 1.5 * spec.cutoff
+print(f"taps: {len(proto)}, sum: {proto.sum():.6f} (target {np.sqrt(n_bands):.6f})")
+w = 1.5 * np.pi / (2 * n_bands)  # 1.5x the band edge
 resp = abs(np.sum(proto * np.exp(-1j * w * np.arange(len(proto)))))
 print(f"attenuation at 1.5x band edge: {-20 * np.log10(resp / proto.sum()):.1f} dB")
 print(f"cascade group delay: {bank.group_delay} samples")

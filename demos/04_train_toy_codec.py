@@ -57,10 +57,10 @@ assert cli.main([
 ]) == 0
 
 from lvrc.audio import load_wav
-from lvrc.filterbank import Filterbank, FilterbankSpec
+from lvrc.filterbank import Filterbank
 
 decoded = load_wav(work / "decoded.wav")
-bank = Filterbank(FilterbankSpec(cfg.model.n_bands, cfg.model.fb_taps))
+bank = Filterbank(cfg.model.n_bands, cfg.model.fb_taps)
 band0 = bank.analyze(decoded.samples)[0]
 spectrum = np.abs(np.fft.rfft(band0 * np.hanning(len(band0))))
 peak = np.argmax(spectrum) * (sr / cfg.model.n_bands) / len(band0)

@@ -68,10 +68,6 @@ def cmd_encode(args) -> int:
     cfg = load_config(args.config)
     model = q.QuantizerModel.load(args.quantizer, expected_digest=cfg.digest())
     audio = load_wav(args.input)
-    if audio.sample_rate != cfg.features.sample_rate:
-        raise ConfigError(
-            f"input rate {audio.sample_rate} != configured {cfg.features.sample_rate}"
-        )
     frames = log_mel_features(audio, cfg.features)
     blob = q.encode(frames, model)
     write_file_atomic(args.output, blob)
@@ -93,20 +89,16 @@ def cmd_decode(args) -> int:
         raise FormatError(f"quantizer gives {frames.shape[1]} mels, model takes {cfg.model.n_mels}")
     model = CodecModel(cfg.model, seed=cfg.train.seed)
     model.load_checkpoint(args.model, expected_digest=digest)
-    n_samples = len(frames) * cfg.features.hop_length
     if len(frames) == 0:
         save_wav(args.output, AudioBuffer(np.zeros(0), cfg.features.sample_rate))
         print(f"decoded 0 frames -> {args.output}")
         return 0
     rng = np.random.default_rng(args.seed)
-    seconds = n_samples / cfg.features.sample_rate
+    seconds = len(frames) * cfg.features.hop_length / cfg.features.sample_rate
     start = time.perf_counter()
     audio = model.generate(frames, rng, seconds=seconds)
     wall = time.perf_counter() - start
-    samples = audio.samples
-    if len(samples) < n_samples:
-        samples = np.pad(samples, (0, n_samples - len(samples)))
-    save_wav(args.output, AudioBuffer(samples[:n_samples], cfg.features.sample_rate))
+    save_wav(args.output, audio)
     print(f"decoded {len(frames)} frames ({seconds:.3f} s) in {wall:.3f} s, "
           f"RTF {wall / seconds:.3f} -> {args.output}")
     return 0

@@ -267,13 +267,14 @@ def _coerce(text: str, target_type: type):
 
 
 def parse_config(text: str) -> CodecConfig:
-    """Parse ``section.key = value`` lines. Unknown keys are rejected."""
+    """Parse ``section.key = value`` lines. Unknown and repeated keys are rejected."""
     cfg = CodecConfig()
     known = {
         f"{section}.{f.name}": (section, f)
         for section, cls in _SECTIONS.items()
         for f in fields(cls)
     }
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -283,6 +284,9 @@ def parse_config(text: str) -> CodecConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} set twice")
+        seen.add(key)
         section, f = known[key]
         setattr(getattr(cfg, section), f.name, _coerce(value, _field_type(f)))
     cfg.validate()

@@ -12,7 +12,6 @@ taps - 1 samples and is exposed so callers can align.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,30 +19,7 @@ from scipy.special import i0
 
 from .errors import ConfigError
 
-DEFAULT_TAPS = 192
 KAISER_BETA = 9.0
-
-
-@dataclass
-class FilterbankSpec:
-    n_bands: int = 4
-    prototype_taps: int = DEFAULT_TAPS
-
-    def validate(self) -> None:
-        if self.n_bands < 2:
-            raise ConfigError("need at least 2 bands")
-        if self.prototype_taps % (2 * self.n_bands) != 0:
-            raise ConfigError("prototype_taps must be divisible by 2*n_bands")
-
-    @property
-    def cutoff(self) -> float:
-        """Band-edge frequency pi/(2N) in rad/sample."""
-        return np.pi / (2 * self.n_bands)
-
-    @property
-    def dc_sum_target(self) -> float:
-        """The prototype sums to sqrt(N) for a unit-gain cascade."""
-        return float(np.sqrt(self.n_bands))
 
 
 def _kaiser(taps: int, beta: float) -> np.ndarray:
@@ -128,16 +104,18 @@ def _minimize_bounded(func, lo: float, hi: float, xatol: float, maxiter: int) ->
     return xf
 
 
-def design_prototype(spec: FilterbankSpec) -> np.ndarray:
-    """Kaiser-windowed sinc lowpass for the band edge pi/(2N).
+def design_prototype(n_bands: int, taps: int) -> np.ndarray:
+    """Kaiser-windowed sinc lowpass for the band edge pi/(2N), summing to sqrt(N).
 
     The sinc frequency is chosen so the response is ~3 dB down at the
     band edge (power-complementary crossover); a plain sinc at pi/(2N)
-    would cross at -6 dB and leave a large distortion ripple.
+    would cross at -6 dB and leave a large distortion ripple. ConfigError
+    unless n_bands >= 2 and taps is a multiple of 2 * n_bands.
     """
-    spec.validate()
-    proto = _unscaled_prototype(spec.prototype_taps, spec.n_bands, KAISER_BETA)
-    return proto * spec.dc_sum_target / proto.sum()
+    if n_bands < 2 or taps % (2 * n_bands) != 0:
+        raise ConfigError("need n_bands >= 2 and taps a multiple of 2*n_bands")
+    proto = _unscaled_prototype(taps, n_bands, KAISER_BETA)
+    return proto * np.sqrt(n_bands) / proto.sum()
 
 
 @lru_cache(maxsize=8)
@@ -179,18 +157,17 @@ class Filterbank:
     the outputs it keeps and synthesis never zero-stuffs.
     """
 
-    def __init__(self, spec: FilterbankSpec | None = None):
-        self.spec = spec or FilterbankSpec()
-        self.prototype = design_prototype(self.spec)
-        taps = self.spec.prototype_taps
-        k = np.arange(self.spec.n_bands)[:, None]
-        phase = (np.arange(taps) - (taps - 1) / 2.0) * np.pi / (2 * self.spec.n_bands)
+    def __init__(self, n_bands: int, taps: int):
+        self.n_bands, self.taps = n_bands, taps
+        self.prototype = design_prototype(n_bands, taps)
+        k = np.arange(n_bands)[:, None]
+        phase = (np.arange(taps) - (taps - 1) / 2.0) * np.pi / (2 * n_bands)
         self.filters = 2.0 * self.prototype * np.cos((2 * k + 1) * phase - (-1.0) ** k * np.pi / 4.0)
 
     @property
     def group_delay(self) -> int:
         """Total analysis+synthesis delay in samples."""
-        return self.spec.prototype_taps - 1
+        return self.taps - 1
 
     def analyze(self, samples: np.ndarray) -> np.ndarray:
         """Split (..., L) samples into (..., n_bands, M) critically sampled bands.
@@ -199,7 +176,7 @@ class Filterbank:
         of a batch gets the same bands as when it is analyzed alone.
         """
         samples = np.asarray(samples, dtype=np.float64)
-        n_bands, taps = self.spec.n_bands, self.spec.prototype_taps
+        n_bands, taps = self.n_bands, self.taps
         n_blocks = taps // n_bands
         lead, length = samples.shape[:-1], samples.shape[-1]
         m = (length + n_bands - 1) // n_bands + n_blocks
@@ -217,7 +194,7 @@ class Filterbank:
         synthesize(analyze(x)) reproduces x delayed by group_delay samples.
         """
         arr = np.asarray(bands, dtype=np.float64)
-        n_bands, taps = self.spec.n_bands, self.spec.prototype_taps
+        n_bands, taps = self.n_bands, self.taps
         if arr.shape[0] != n_bands:
             raise ConfigError(f"expected {n_bands} bands, got {arr.shape[0]}")
         m = arr.shape[1]

@@ -31,7 +31,7 @@ from .audio import AudioBuffer
 from .config import ModelConfig
 from .container import entry, read_container, write_container
 from .errors import ConfigError, FormatError, NumericError
-from .filterbank import Filterbank, FilterbankSpec
+from .filterbank import Filterbank
 from .neural import (
     GRUCell,
     Parameter,
@@ -124,7 +124,7 @@ class CodecModel:
         self.in_proj_b = Parameter("in_proj.b", np.zeros(h, self.dtype))
         self.out_w = Parameter("out.w", init_weight(rng, (n * k * 3, h), h, n * k * 3, self.dtype))
         self.out_b = Parameter("out.b", np.zeros(n * k * 3, self.dtype))
-        self.filterbank = Filterbank(FilterbankSpec(n_bands=n, prototype_taps=cfg.fb_taps))
+        self.filterbank = Filterbank(n, cfg.fb_taps)
         self.hop = cfg.sample_rate // cfg.frame_rate
 
     # -- parameter plumbing -------------------------------------------------
@@ -334,7 +334,9 @@ class CodecModel:
         Per step and band the mixture component is chosen first, then the
         logistic is sampled by transforming a uniform; band samples are
         clamped to [-1, 1] before being fed back. Output length is
-        seconds * sample_rate rounded down to a multiple of n_bands.
+        seconds * sample_rate rounded to the nearest sample, then down to a
+        multiple of n_bands, so `seconds = frames * hop / sample_rate` gives
+        exactly frames * hop samples.
 
         The step loop runs in `dtype`: the GRU state, the fed-back samples
         and `dtype` copies of the input gates, the recurrent matrices and
@@ -344,7 +346,7 @@ class CodecModel:
         not touched, and the band samples and the output are float64.
         """
         cfg = self.cfg
-        steps = int(seconds * cfg.sample_rate) // cfg.n_bands
+        steps = round(seconds * cfg.sample_rate) // cfg.n_bands
         # the layer outputs are dropped here and cond once its gates are made:
         # the step loop reads neither
         cond = self.cond.forward(np.asarray(mels, dtype=self.dtype)[None])[0]

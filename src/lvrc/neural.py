@@ -6,7 +6,7 @@ training sequence and decode step run one update, the sequence in
 buffers it reuses from call to call; one tap-delay 1-D convolution
 (causal dilated and centered kernels are sets of tap delays) and the
 stride-2 transpose convolution; Adam with pruning-mask enforcement, and
-the cubic magnitude-pruning schedule. A parameter makes its gradient
+the magnitude-pruning mask update. A parameter makes its gradient
 accumulator on first use, so a model that only runs forward holds each
 weight once. Backward functions return exact analytic gradients; the
 finite-difference test suite is the correctness contract. Sequence
@@ -15,8 +15,6 @@ out, in).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -106,12 +104,6 @@ def dense_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
     dw = _weight_grad(_split(x, len(wb)), dyb, w.shape)
     db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
     return dx, dw, db
-
-
-def block_parameter_count(size_out: int, size_in: int, blocks: int) -> int:
-    if size_out % blocks or size_in % blocks:
-        raise ConfigError("dims must be divisible by the block count")
-    return (size_out // blocks) * (size_in // blocks) * blocks
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +344,6 @@ class GRUCell:
             self.params[f"b{tag}"].grad += da.sum(axis=1).reshape(-1)
         return dxs, _merge(dh, (batch,))
 
-    def weight_parameter_count(self) -> int:
-        """Gate matrix entries only (biases excluded)."""
-        return sum(p.value.size for tag, p in self.params.items() if not tag.startswith("b"))
-
 
 # ---------------------------------------------------------------------------
 # 1-D convolutions over (batch, time, channels)
@@ -473,36 +461,8 @@ class Adam:
         self.slots.update(slots)
 
 
-@dataclass
-class PruningSchedule:
-    """Cubic ramp from zero to target_sparsity between start and end steps."""
-
-    start_step: int
-    end_step: int
-    target_sparsity: float = 0.92
-    interval: int = 10
-
-    def __post_init__(self):
-        if not 0.0 <= self.target_sparsity <= 1.0:
-            raise ConfigError("target_sparsity must be in [0, 1]")
-        if self.end_step < self.start_step:
-            raise ConfigError("end_step must be >= start_step")
-
-    def sparsity_at(self, step: int) -> float:
-        if step <= self.start_step:
-            return 0.0
-        if step >= self.end_step:
-            return self.target_sparsity
-        frac = (step - self.start_step) / (self.end_step - self.start_step)
-        return self.target_sparsity * (1.0 - (1.0 - frac) ** 3)
-
-    def due(self, step: int) -> bool:
-        return self.start_step < step and (step - self.start_step) % self.interval == 0
-
-
-def prune_update(param: Parameter, schedule: PruningSchedule, step: int) -> np.ndarray:
-    """Mask the smallest-magnitude fraction per the schedule; monotone."""
-    sparsity = schedule.sparsity_at(step)
+def prune_update(param: Parameter, sparsity: float) -> np.ndarray:
+    """Mask the smallest-magnitude `sparsity` fraction of `param`; monotone."""
     n = param.value.size
     n_zero = int(round(sparsity * n))
     mask = np.ones(n, dtype=param.value.dtype)

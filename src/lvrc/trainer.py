@@ -24,7 +24,7 @@ from .container import entry
 from .errors import ConfigError, NumericError
 from .features import frame_signal, log_mel_features
 from .model import CodecModel
-from .neural import Adam, PruningSchedule, prune_update
+from .neural import Adam, prune_update
 
 METRICS_HEADER = ["step", "nll", "jvar", "sigma_mean", "sparsity"]
 # Signal samples whose frames `voicing_per_frame` scores per call (voicing
@@ -235,6 +235,8 @@ class ClipDataset:
                  noises: list[np.ndarray]):
         if not clips:
             raise ConfigError("dataset needs at least one clip")
+        if any(len(x) == 0 for x in noises):  # mix_noise needs a sample to tile
+            raise ConfigError("noise has no samples")
         n = min(len(c) for c in clips)
         n -= n % cfg.model.n_bands
         self.cfg = cfg
@@ -369,6 +371,17 @@ def learning_rate(tc: TrainConfig, step: int) -> float:
     return tc.lr / (1.0 + (step - 1) / LR_DECAY_STEPS)
 
 
+def pruning_sparsity(tc: TrainConfig, step: int) -> float:
+    """Target sparsity at `step`: the cubic ramp of WaveRNN (arXiv 1802.08435),
+    0 through `prune_start`, `target_sparsity` from `prune_end` on."""
+    if step <= tc.prune_start:
+        return 0.0
+    if step >= tc.prune_end:
+        return tc.target_sparsity
+    frac = (step - tc.prune_start) / (tc.prune_end - tc.prune_start)
+    return tc.target_sparsity * (1.0 - (1.0 - frac) ** 3)
+
+
 def _metrics_rows_through(path: str, step: int) -> list[str]:
     """The complete rows of metrics CSV `path` for steps <= `step`; [] if it is absent."""
     if not os.path.exists(path):
@@ -419,11 +432,6 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
         start_step, arrays = model.load_checkpoint(resume_from, expected_digest=digest)
         optimizer.load_state(arrays, params, step_count=int(entry(arrays, "adam_step", 1)[0]))
 
-    schedule = None
-    if tc.pruning:
-        schedule = PruningSchedule(tc.prune_start, tc.prune_end, tc.target_sparsity,
-                                   tc.prune_interval)
-
     metrics_path = os.path.join(out_dir, "metrics.csv")
     metrics: list[dict] = []
     # a resume keeps the rows through its checkpoint; the steps after it run again
@@ -459,9 +467,10 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
             )
             optimizer.lr = learning_rate(tc, step)
             optimizer.step(params)
-            if schedule is not None and schedule.due(step):
+            if (tc.pruning and step > tc.prune_start
+                    and (step - tc.prune_start) % tc.prune_interval == 0):
                 for p in model.prunable_parameters():
-                    prune_update(p, schedule, step)
+                    prune_update(p, pruning_sparsity(tc, step))
             if step % log_every == 0 or step == tc.steps:
                 prunable = model.prunable_parameters()
                 total = sum(p.value.size for p in prunable)

@@ -133,6 +133,11 @@ def numeric_grad(f, arr: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return grad
 
 
+def gate_weight_count(cell) -> int:
+    """Entries of a GRU cell's six gate matrices U* and R* (biases excluded)."""
+    return sum(p.value.size for tag, p in cell.params.items() if tag[0] in "UR")
+
+
 def reference_sample(p, rng) -> np.ndarray:
     """A draw from constrained mixture parameters `p`, written out step by step.
 

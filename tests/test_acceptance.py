@@ -15,12 +15,12 @@ from lvrc import quantizer as q
 from lvrc.audio import AudioBuffer, save_wav
 from lvrc.config import ModelConfig, paper_config, toy_config
 from lvrc.features import log_mel_features
-from lvrc.filterbank import Filterbank, FilterbankSpec, design_prototype, snr_db
+from lvrc.filterbank import Filterbank, snr_db
 from lvrc.model import CodecModel
-from lvrc.neural import GRUCell, block_parameter_count
+from lvrc.neural import GRUCell
 from lvrc.trainer import ClipDataset, harmonic_tone, synthetic_clip, train
 
-from conftest import fd_rel_error, load_model, make_toy_cfg
+from conftest import fd_rel_error, gate_weight_count, load_model, make_toy_cfg
 
 # Thresholds for criterion 8, frozen from the paired toy experiment
 # (seed 2024, 4000 steps, lr 2e-3): see the assertions for the values
@@ -170,11 +170,11 @@ def test_criterion_03_bitrate_arithmetic(paper_quantizer):
 
 def test_criterion_04_block_diagonal_parameter_count():
     """1024-state GRU gates with 16 blocks use exactly 1/16 of dense weights."""
-    assert block_parameter_count(1024, 1024, 16) == 65536 == 1048576 // 16
     rng = np.random.default_rng(0)
     dense = GRUCell(1024, rng, blocks=1)
     blocked = GRUCell(1024, rng, blocks=16)
-    dense_w, blocked_w = dense.weight_parameter_count(), blocked.weight_parameter_count()
+    assert blocked.params["Uz"].value.size == 65536 == 1048576 // 16
+    dense_w, blocked_w = gate_weight_count(dense), gate_weight_count(blocked)
     assert dense_w == 6 * 1024 * 1024
     assert blocked_w * 16 == dense_w
     reduction = 1.0 - blocked_w / dense_w
@@ -225,7 +225,7 @@ def test_criterion_05_pruning_schedule(tmp_path):
 def test_criterion_06_filterbank_round_trip():
     """Delay-compensated round trip >= 40 dB on 10 s noise and speech."""
     start = time.time()
-    bank = Filterbank(FilterbankSpec(n_bands=4, prototype_taps=192))
+    bank = Filterbank(4, 192)
     rng = np.random.default_rng(6)
     noise = rng.uniform(-0.9, 0.9, 160000)
     speech = synthetic_clip(rng, 16000, 160000)
@@ -347,7 +347,7 @@ def test_criterion_09_end_to_end_smoke(paired_runs, toy_quantizer, tmp_path):
     from lvrc.audio import load_wav
     from lvrc.trainer import TONE_PITCHES, noise_burst, tone_burst_train
 
-    bank = Filterbank(FilterbankSpec(cfg.model.n_bands, cfg.model.fb_taps))
+    bank = Filterbank(cfg.model.n_bands, cfg.model.fb_taps)
     f0 = TONE_PITCHES[0]
 
     def decode_signal(samples, tag, check_repro=False):

@@ -396,7 +396,9 @@ class TestUsage:
 
     def test_non_positive_interval_exits_2_without_traceback(self, tmp_path):
         cfg_path = tmp_path / "toy.cfg"
-        cfg_path.write_text(toy_config().to_text() + "train.checkpoint_interval = 0\n")
+        cfg = toy_config()
+        cfg.train.checkpoint_interval = 0  # to_text writes it unvalidated
+        cfg_path.write_text(cfg.to_text())
         out = _python("-m", "lvrc.cli", "train", "--config", str(cfg_path),
                       "--out-dir", str(tmp_path / "run"))
         assert out.returncode == 2

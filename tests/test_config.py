@@ -77,7 +77,8 @@ def test_bad_values_rejected():
                 "model.n_bands = 1\ntrain.reg_bands = 1",
                 "features.mel_fmax = -5",
                 "features.mel_fmax = 9000",  # above the 8 kHz Nyquist
-                "quantizer.bits_per_supervector = 1281"):  # 160 splits of <= 8 bits
+                "quantizer.bits_per_supervector = 1281",  # 160 splits of <= 8 bits
+                "train.nu = 0.01\ntrain.nu = 0.01"):  # a key set twice, even to one value
         with pytest.raises(ConfigError):
             parse_config(bad + "\n")
     for key, value in (("mel_fmax", 6000.0), ("mel_fmin", 3000.0), ("mel_fmin", -1.0),

@@ -11,7 +11,6 @@ from lvrc.errors import ConfigError
 from lvrc.filterbank import (
     KAISER_BETA,
     Filterbank,
-    FilterbankSpec,
     _kaiser,
     _minimize_bounded,
     _unscaled_prototype,
@@ -22,23 +21,21 @@ from lvrc.filterbank import (
 
 @pytest.fixture(scope="module")
 def bank():
-    return Filterbank(FilterbankSpec(n_bands=4, prototype_taps=192))
+    return Filterbank(4, 192)
 
 
 class TestPrototype:
     def test_sums_to_dc_gain_target(self):
-        spec = FilterbankSpec(n_bands=4, prototype_taps=192)
-        proto = design_prototype(spec)
-        assert abs(proto.sum() - spec.dc_sum_target) <= 1e-6
+        proto = design_prototype(4, 192)
+        assert abs(proto.sum() - np.sqrt(4)) <= 1e-6
 
     def test_symmetric(self):
-        proto = design_prototype(FilterbankSpec(n_bands=4, prototype_taps=192))
+        proto = design_prototype(4, 192)
         assert np.array_equal(proto, proto[::-1])
 
     def test_stopband_attenuation(self):
-        spec = FilterbankSpec(n_bands=4, prototype_taps=192)
-        proto = design_prototype(spec)
-        w = 1.5 * spec.cutoff
+        proto = design_prototype(4, 192)
+        w = 1.5 * np.pi / 8  # 1.5x the band edge pi/(2N)
         n = np.arange(len(proto))
         response = abs(np.sum(proto * np.exp(-1j * w * n)))
         dc = proto.sum()
@@ -46,7 +43,9 @@ class TestPrototype:
 
     def test_tap_count_validation(self):
         with pytest.raises(ConfigError):
-            FilterbankSpec(n_bands=4, prototype_taps=30).validate()
+            design_prototype(4, 30)
+        with pytest.raises(ConfigError):
+            design_prototype(1, 16)
 
 
 def _reference_prototype(taps, n_bands, beta):
@@ -109,7 +108,7 @@ class TestScipyPorts:
 
 def reference_filters(bank):
     """Analysis and synthesis filters of the cosine-modulated bank, band by band."""
-    taps, n_bands = bank.spec.prototype_taps, bank.spec.n_bands
+    taps, n_bands = bank.taps, bank.n_bands
     phase = (np.arange(taps) - (taps - 1) / 2.0) * np.pi / (2 * n_bands)
     analysis, synthesis = [], []
     for k in range(n_bands):
@@ -121,7 +120,7 @@ def reference_filters(bank):
 
 def reference_analyze(bank, x):
     """Direct form: full-rate convolution with each analysis filter, then keep every Nth output."""
-    n_bands, taps = bank.spec.n_bands, bank.spec.prototype_taps
+    n_bands, taps = bank.n_bands, bank.taps
     m = (len(x) + n_bands - 1) // n_bands + taps // n_bands
     padded = np.concatenate([x, np.zeros(m * n_bands - len(x))])
     return np.stack([np.convolve(padded, h)[: m * n_bands : n_bands] for h in reference_filters(bank)[0]])
@@ -129,7 +128,7 @@ def reference_analyze(bank, x):
 
 def reference_synthesize(bank, bands):
     """Direct form: zero-stuff each band to the full rate, convolve with its filter, sum."""
-    n_bands = bank.spec.n_bands
+    n_bands = bank.n_bands
     out = 0.0
     for band, g in zip(bands, reference_filters(bank)[1]):
         upsampled = np.zeros(len(band) * n_bands)
@@ -140,7 +139,7 @@ def reference_synthesize(bank, bands):
 
 @pytest.mark.parametrize("taps,n_bands", [setting[:2] for setting in PRESET_BANKS])
 def test_polyphase_matches_direct_form(taps, n_bands):
-    bank = Filterbank(FilterbankSpec(n_bands=n_bands, prototype_taps=taps))
+    bank = Filterbank(n_bands, taps)
     rng = np.random.default_rng(taps)
     for length in (1, n_bands - 1, 1280, 1283, 16001):
         x = rng.uniform(-1.0, 1.0, length)

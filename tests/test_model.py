@@ -290,7 +290,7 @@ def reference_generate(model, mels, rng, seconds):
     """`generate` composed from the layers one call each: in_proj, a one-step
     GRU sequence, constrain, a draw from the constrained mixture, clamp."""
     cfg = model.cfg
-    steps = int(seconds * cfg.sample_rate) // cfg.n_bands
+    steps = round(seconds * cfg.sample_rate) // cfg.n_bands
     cond = np.repeat(model.cond.forward(np.asarray(mels)[None])[0][0], cfg.tile_factor, axis=0)
     h = np.zeros((1, cfg.gru_state))
     bands = np.zeros((cfg.n_bands, steps + 1))  # column t holds the samples fed to step t
@@ -399,6 +399,13 @@ class TestGenerate:
         out = model.generate(mels, np.random.default_rng(0), seconds=0.3)
         expected = int(0.3 * model.cfg.sample_rate) // model.cfg.n_bands * model.cfg.n_bands
         assert len(out.samples) == expected
+
+    def test_frames_times_hop_is_the_length(self):
+        # 402 * 32 / 800 * 800 is 12863.999...: truncating it lost a band step
+        model = tiny_model(seed=10)
+        hop, sr = model.hop, model.cfg.sample_rate
+        out = model.generate(np.zeros((402, 5)), np.random.default_rng(0), seconds=402 * hop / sr)
+        assert len(out.samples) == 402 * hop
 
     def test_untrained_output_bounded_and_nonsilent(self):
         model = tiny_model(seed=11)

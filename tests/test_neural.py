@@ -1,13 +1,15 @@
 """Layer gradient checks against central finite differences, optimizer
-and pruning-schedule contracts."""
+and pruning-mask contracts."""
 
 import numpy as np
 import pytest
 
 from lvrc import neural
+from lvrc.config import TrainConfig
 from lvrc.errors import ConfigError
+from lvrc.trainer import pruning_sparsity
 
-from conftest import fd_rel_error, numeric_grad
+from conftest import fd_rel_error, gate_weight_count, numeric_grad
 
 TOL = 1e-4
 
@@ -58,7 +60,8 @@ class TestDense:
 class TestBlockDiagonal:
     def test_paper_scale_parameter_count(self):
         # 1024x1024 with 16 blocks: 65536 weights vs 1048576 dense
-        count = neural.block_parameter_count(1024, 1024, 16)
+        cell = neural.GRUCell(1024, np.random.default_rng(0), blocks=16)
+        count = cell.params["Uz"].value.size
         assert count == 65536
         assert count == 1048576 // 16
         assert 1.0 - count / 1048576 == pytest.approx(0.9375)
@@ -93,10 +96,6 @@ class TestBlockDiagonal:
             assert fd_rel_error(dw, numeric_grad(f, w)) <= TOL
             assert fd_rel_error(db, numeric_grad(f, b)) <= TOL
 
-    def test_divisibility_checked(self):
-        with pytest.raises(ConfigError):
-            neural.block_parameter_count(10, 10, 3)
-
 
 class TestGRU:
     def test_zero_weights_fixed_point(self):
@@ -115,7 +114,7 @@ class TestGRU:
         rng = np.random.default_rng(0)
         dense = neural.GRUCell(64, rng, blocks=1)
         blocked = neural.GRUCell(64, rng, blocks=16)
-        assert blocked.weight_parameter_count() == dense.weight_parameter_count() // 16
+        assert gate_weight_count(blocked) == gate_weight_count(dense) // 16
 
     def test_state_stays_in_unit_box(self):
         rng = np.random.default_rng(5)
@@ -212,7 +211,7 @@ class TestGRU:
         rng = np.random.default_rng(8)
         dense = neural.GRUCell(1024, rng)
         blocked = neural.GRUCell(1024, rng, blocks=16)
-        assert blocked.weight_parameter_count() * 16 == dense.weight_parameter_count()
+        assert gate_weight_count(blocked) * 16 == gate_weight_count(dense)
 
 
 class TestConvolutions:
@@ -317,36 +316,35 @@ class TestAdam:
 
 class TestPruning:
     def test_schedule_endpoints(self):
-        sched = neural.PruningSchedule(100, 500, 0.92, 10)
-        assert sched.sparsity_at(50) == 0.0
-        assert sched.sparsity_at(100) == 0.0
-        assert sched.sparsity_at(10_000) == 0.92
+        tc = TrainConfig(prune_start=100, prune_end=500, target_sparsity=0.92)
+        assert pruning_sparsity(tc, 50) == 0.0
+        assert pruning_sparsity(tc, 100) == 0.0
+        assert pruning_sparsity(tc, 10_000) == 0.92
 
     def test_final_sparsity_within_one_weight(self):
         rng = np.random.default_rng(15)
         p = neural.Parameter("w", rng.normal(0, 1, (37, 13)))
-        sched = neural.PruningSchedule(0, 100, 0.92, 5)
+        tc = TrainConfig(prune_start=0, prune_end=100, target_sparsity=0.92)
         for step in range(0, 160, 5):
-            neural.prune_update(p, sched, step)
+            neural.prune_update(p, pruning_sparsity(tc, step))
         n = p.value.size
         assert abs((1.0 - p.mask.mean()) * n - 0.92 * n) <= 1.0
 
     def test_mask_monotone_over_random_steps(self):
         rng = np.random.default_rng(16)
         p = neural.Parameter("w", rng.normal(0, 1, 400))
-        sched = neural.PruningSchedule(10, 800, 0.92, 1)
+        tc = TrainConfig(prune_start=10, prune_end=800, target_sparsity=0.92)
         prev = np.ones_like(p.value)
         # monotone even when visited out of order, because masking is cumulative
         for step in sorted(rng.integers(0, 1000, 1000)):
-            mask = neural.prune_update(p, sched, int(step))
+            mask = neural.prune_update(p, pruning_sparsity(tc, int(step)))
             assert np.all(mask <= prev)
             prev = mask
 
     def test_masked_forward_equals_dense_with_zeros(self):
         rng = np.random.default_rng(17)
         p = neural.Parameter("w", rng.normal(0, 1, (6, 5)))
-        sched = neural.PruningSchedule(0, 10, 0.5, 1)
-        neural.prune_update(p, sched, 20)
+        neural.prune_update(p, 0.5)
         x = rng.normal(0, 1, (3, 5))
         explicit = p.value.copy()  # masked entries are literally zero
         assert np.array_equal(

@@ -352,6 +352,12 @@ class TestDataset:
         # two clips per call peak near 29 clips' worth of samples; all 48 at once near 490
         assert peak < 48 * n * 8
 
+    def test_empty_noise_rejected(self):
+        cfg = short_cfg()
+        clip = synthetic_clip(np.random.default_rng(0), cfg.features.sample_rate, 1280)
+        with pytest.raises(ConfigError, match="noise has no samples"):
+            ClipDataset(cfg, [clip], [np.ones(50), np.zeros(0)])
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_noise_burst_has_requested_length(self, n):
         x = noise_burst(np.random.default_rng(n), n)
