@@ -186,6 +186,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:  # np.random.default_rng takes no negative seed
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lvrc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -216,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--quantizer", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("input")
     p.add_argument("output")
     p.set_defaults(func=cmd_decode)

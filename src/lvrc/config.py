@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 from .errors import ConfigError
 
@@ -77,7 +78,8 @@ class ModelConfig:
     sample_rate: int = 16000
     gru_blocks: int = 1  # >1 switches the six gate matrices to block-diagonal
     fb_taps: int = 192
-    dtype: str = "float64"
+    # not a key: perfbench's worker reads it until it sizes the GRU step by the decode dtype
+    dtype: ClassVar[str] = "float64"
 
     @property
     def band_rate(self) -> int:
@@ -102,8 +104,6 @@ class ModelConfig:
             raise ConfigError("band rate must be an integer multiple of 8x frame_rate")
         if self.gru_state % self.gru_blocks != 0:
             raise ConfigError("gru_state must be divisible by gru_blocks")
-        if self.dtype not in ("float64", "float32"):
-            raise ConfigError("dtype must be 'float64' or 'float32'")
 
 
 @dataclass
@@ -119,10 +119,13 @@ class QuantizerConfig:
     def validate(self) -> None:
         if self.stack < 1:
             raise ConfigError("stack must be >= 1")
-        if self.bits_per_supervector < 0:
-            raise ConfigError("bits_per_supervector must be >= 0")
+        # with no bits there is no payload to bound a bitstream's supervector count
+        if self.bits_per_supervector < 1:
+            raise ConfigError("bits_per_supervector must be >= 1")
         if self.split_dim < 1:
             raise ConfigError("split_dim must be >= 1")
+        if self.seed < 0:  # np.random.default_rng takes no negative seed
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -163,6 +166,8 @@ class TrainConfig:
             raise ConfigError("prune_end must be >= prune_start")
         if not 0 <= self.baseline_gamma0 < 1:
             raise ConfigError("baseline_gamma0 must be in [0, 1)")
+        if self.seed < 0:  # np.random.default_rng takes no negative seed
+            raise ConfigError("seed must be >= 0")
         for key in ("batch_size", "lr", "prune_interval", "checkpoint_interval", "clip_seconds"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
@@ -298,9 +303,17 @@ def _field_type(f: dataclasses.Field) -> type:
     return {"int": int, "float": float, "str": str, "bool": bool}[f.type]
 
 
-def load_config(path) -> CodecConfig:
+def read_text(path) -> str:
+    """A config or manifest file's text; ConfigError naming the file if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def load_config(path) -> CodecConfig:
+    return parse_config(read_text(path))
 
 
 def paper_config() -> CodecConfig:

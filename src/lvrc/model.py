@@ -14,10 +14,10 @@ filterbank. Since the GRU's input gates are linear in the input,
 generation computes the conditioning's share once per conditioning frame
 and adds only the previous samples' share at each step.
 
-Generation's step loop runs in float32 by default, on float32 copies made
-once per call; `generate(..., dtype=np.float64)` runs it in float64.
-Training, teacher forcing, the conditioning stack and checkpoints keep
-the model's dtype, float64 unless the config says otherwise.
+The model is float64: its parameters, training, teacher forcing, the
+conditioning stack and checkpoints. Only generation's step loop runs in
+another dtype, float32 by default, on float32 copies made once per call;
+`generate(..., dtype=np.float64)` runs it in float64.
 """
 
 from __future__ import annotations
@@ -60,20 +60,20 @@ FORWARD_CHUNK_ROWS = 32
 class ConditioningStack:
     """Mel frames (B, F, M) -> conditioning vectors (B, F*8, H)."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         c, h, in_ch = cfg.cond_channels, cfg.gru_state, cfg.n_mels
         self.cfg = cfg
         self.params: dict[str, Parameter] = {}
 
         def param(tag, w):
             self.params[f"{tag}.w"] = Parameter(f"cond.{tag}.w", w)
-            self.params[f"{tag}.b"] = Parameter(f"cond.{tag}.b", np.zeros(w.shape[-2], dtype))
+            self.params[f"{tag}.b"] = Parameter(f"cond.{tag}.b", np.zeros(w.shape[-2]))
 
         for tag, delays in _LAYERS:
             kernel = 2 if delays is None else len(delays)
-            param(tag, init_weight(rng, (kernel, c, in_ch), in_ch * kernel, c, dtype))
+            param(tag, init_weight(rng, (kernel, c, in_ch), in_ch * kernel, c))
             in_ch = c
-        param("proj", init_weight(rng, (h, c), c, h, dtype))
+        param("proj", init_weight(rng, (h, c), c, h))
 
     def _wb(self, tag):
         return self.params[f"{tag}.w"].value, self.params[f"{tag}.b"].value
@@ -114,16 +114,15 @@ class CodecModel:
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         cfg.validate()
         self.cfg = cfg
-        self.dtype = np.float64 if cfg.dtype == "float64" else np.float32
         rng = np.random.default_rng([seed, 0xC0DEC])
         h, n, k = cfg.gru_state, cfg.n_bands, cfg.n_mix
 
-        self.cond = ConditioningStack(cfg, rng, self.dtype)
-        self.gru = GRUCell(h, rng, blocks=cfg.gru_blocks, dtype=self.dtype)
-        self.in_proj_w = Parameter("in_proj.w", init_weight(rng, (h, n), n, h, self.dtype))
-        self.in_proj_b = Parameter("in_proj.b", np.zeros(h, self.dtype))
-        self.out_w = Parameter("out.w", init_weight(rng, (n * k * 3, h), h, n * k * 3, self.dtype))
-        self.out_b = Parameter("out.b", np.zeros(n * k * 3, self.dtype))
+        self.cond = ConditioningStack(cfg, rng)
+        self.gru = GRUCell(h, rng, blocks=cfg.gru_blocks)
+        self.in_proj_w = Parameter("in_proj.w", init_weight(rng, (h, n), n, h))
+        self.in_proj_b = Parameter("in_proj.b", np.zeros(h))
+        self.out_w = Parameter("out.w", init_weight(rng, (n * k * 3, h), h, n * k * 3))
+        self.out_b = Parameter("out.b", np.zeros(n * k * 3))
         self.filterbank = Filterbank(n, cfg.fb_taps)
         self.hop = cfg.sample_rate // cfg.frame_rate
 
@@ -176,9 +175,9 @@ class CodecModel:
         if step < 0:
             raise FormatError(f"checkpoint step {step} is negative")
         for p in params:
-            p.value = arrays[f"param/{p.name}"].astype(self.dtype)  # the file's views: copy once
+            p.value = arrays[f"param/{p.name}"].astype(np.float64)  # the file's views: copy once
             mask = arrays.get(f"mask/{p.name}")
-            p.mask = None if mask is None else mask.astype(self.dtype)
+            p.mask = None if mask is None else mask.astype(np.float64)
         return step, arrays
 
     # -- forward pieces ------------------------------------------------------
@@ -211,7 +210,6 @@ class CodecModel:
         batch, steps, n_bands = x.shape
         tile = self.cfg.tile_factor
         span = FORWARD_CHUNK_ROWS * tile
-        # mol's terms are float64 whatever the model's dtype
         whole = [np.empty((batch, steps, n)) for n in (n_bands, n_bands, head[0])]
         peak_h = peak_raw = 0.0
         for lo in range(0, steps, span):
@@ -249,12 +247,11 @@ class CodecModel:
         the outputs keep the gradient pass's bits.
         """
         cfg = self.cfg
-        mels = np.asarray(mels, dtype=self.dtype)
+        mels = np.asarray(mels, dtype=np.float64)
         if mels.ndim == 2:
             mels = mels[None]
         audio = np.atleast_2d(audio)
         bands = self.filterbank.analyze(audio)[..., : audio.shape[-1] // cfg.n_bands]
-        bands = bands.astype(self.dtype)
         batch, n_bands, steps = bands.shape
         if steps == 0:
             raise ConfigError(f"audio needs at least {n_bands} samples, one per band")
@@ -266,8 +263,8 @@ class CodecModel:
             raise ConfigError("conditioning shorter than the audio")
 
         x = bands.transpose(0, 2, 1)  # (B, T, N) targets
-        prev = np.concatenate([np.zeros((batch, 1, n_bands), self.dtype), x[:, :-1]], axis=1)
-        h0 = np.zeros((batch, cfg.gru_state), self.dtype)
+        prev = np.concatenate([np.zeros((batch, 1, n_bands)), x[:, :-1]], axis=1)
+        h0 = np.zeros((batch, cfg.gru_state))
         head = (reg_bands, var_floor, regularizer, gamma0, compute_grads)
         if compute_grads:
             hs, gru_cache, flat, terms = self._steps(prev, x, cond, h0, head)
@@ -280,9 +277,9 @@ class CodecModel:
         sigma_all = np.sqrt(np.maximum(var, 0.0))
 
         if voicing is None:
-            weights = np.ones((batch, steps), self.dtype)
+            weights = np.ones((batch, steps))
         else:
-            voicing = np.asarray(voicing, dtype=self.dtype)
+            voicing = np.asarray(voicing, dtype=np.float64)
             frame_idx = self._frame_of_step(steps, voicing.shape[1])
             weights = voicing[:, frame_idx]
         jvar = float(np.mean(weights[..., None] * reg))
@@ -307,9 +304,9 @@ class CodecModel:
         if not compute_grads:
             return result
 
-        d_raw = (terms.d_nll * (1.0 / nll.size)).astype(self.dtype, copy=False)
+        d_raw = terms.d_nll * (1.0 / nll.size)
         if nu != 0.0:
-            wr = (weights[..., None, None] * (nu / reg.size)).astype(self.dtype)
+            wr = weights[..., None, None] * (nu / reg.size)
             d_raw[:, :, :reg_bands] += wr * terms.d_reg
 
         d_hs, dw, db = dense_backward(hs, self.out_w.value, d_raw.reshape(flat.shape))
@@ -342,14 +339,14 @@ class CodecModel:
         and `dtype` copies of the input gates, the recurrent matrices and
         the output layer, made once per call. float32 halves the bytes each
         step reads; float64 is the loop the model was trained in. The
-        conditioning stack runs in the model's dtype, the parameters are
-        not touched, and the band samples and the output are float64.
+        conditioning stack runs in float64, the parameters are not
+        touched, and the band samples and the output are float64.
         """
         cfg = self.cfg
         steps = round(seconds * cfg.sample_rate) // cfg.n_bands
         # the layer outputs are dropped here and cond once its gates are made:
         # the step loop reads neither
-        cond = self.cond.forward(np.asarray(mels, dtype=self.dtype)[None])[0]
+        cond = self.cond.forward(np.asarray(mels, dtype=np.float64)[None])[0]
         tile = cfg.tile_factor
         if cond.shape[1] * tile < steps:
             raise ConfigError(

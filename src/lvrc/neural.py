@@ -32,10 +32,10 @@ class Parameter:
     once, and `zero_grad` on an accumulator never made makes none.
     """
 
-    def __init__(self, name: str, value: np.ndarray, mask: np.ndarray | None = None):
+    def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = value
-        self.mask = mask
+        self.mask: np.ndarray | None = None
         self._grad: np.ndarray | None = None
 
     @property
@@ -57,9 +57,9 @@ class Parameter:
             self.value *= self.mask
 
 
-def init_weight(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype=np.float64) -> np.ndarray:
+def init_weight(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +123,14 @@ class GRUCell:
     the cell keeps.
 
     Those sequence buffers stay with the cell and are reused while
-    (batch, steps, dtype) stays the same, until `release` frees them. The
+    (batch, steps) stays the same, until `release` frees them. The
     states and cache that `forward_sequence` returns are views of them:
     they stay valid until the next `forward_sequence` on this cell, and
     one `backward_sequence` uses the cache up. `CodecModel.teacher_forced`
     is the only caller that holds a cache across other work.
     """
 
-    def __init__(self, hidden: int, rng: np.random.Generator, blocks: int = 1,
-                 dtype=np.float64):
+    def __init__(self, hidden: int, rng: np.random.Generator, blocks: int = 1):
         if blocks < 1 or hidden % blocks:
             raise ConfigError("blocks must be >= 1 and divide the hidden dim")
         self.hidden = hidden
@@ -141,12 +140,12 @@ class GRUCell:
         def make(tag, rows, cols):
             rb, cb = rows // blocks, cols // blocks
             shape = (rows, cols) if blocks == 1 else (blocks, rb, cb)
-            self.params[tag] = Parameter(f"gru.{tag}", init_weight(rng, shape, cb, rb, dtype))
+            self.params[tag] = Parameter(f"gru.{tag}", init_weight(rng, shape, cb, rb))
 
         for gate in ("z", "r", "h"):
             make(f"U{gate}", hidden, hidden)
             make(f"R{gate}", hidden, hidden)
-            self.params[f"b{gate}"] = Parameter(f"gru.b{gate}", np.zeros(hidden, dtype))
+            self.params[f"b{gate}"] = Parameter(f"gru.b{gate}", np.zeros(hidden))
         self._seq_key = None
         self._seq: dict[str, np.ndarray] = {}
         self._live_cache = None  # the token of the one cache backward may use
@@ -215,8 +214,8 @@ class GRUCell:
         h_new += np.multiply(z, cand, out=z_cand)
         return z, r, cand, h_new
 
-    def _buffers(self, batch: int, steps: int, dtype) -> dict[str, np.ndarray]:
-        """The sequence arrays for (batch, steps, dtype), kept while the shape stays.
+    def _buffers(self, batch: int, steps: int) -> dict[str, np.ndarray]:
+        """The sequence arrays for (batch, steps), kept while the shape stays.
 
         The forward pass fills the input gates (three units of
         batch*steps*hidden values), z and r (two), cand and the states (one
@@ -226,15 +225,15 @@ class GRUCell:
         "hs" views them per block as (blocks, B, T, hb). The backward pass
         adds its own buffers on first use and reuses the dead gates.
         """
-        key = (batch, steps, np.dtype(dtype))
+        key = (batch, steps)
         if key != self._seq_key:
             self.release()  # free the old shape's arrays before allocating
             blocks, hb = self.blocks, self.hidden // self.blocks
-            states = np.empty((batch, steps, self.hidden), dtype)
+            states = np.empty((batch, steps, self.hidden))
             self._seq = {
-                "gates": np.empty((blocks, batch * steps, 3 * hb), dtype),
-                "zr": np.empty((steps, blocks, batch, 2 * hb), dtype),
-                "cand": np.empty((steps, blocks, batch, hb), dtype),
+                "gates": np.empty((blocks, batch * steps, 3 * hb)),
+                "zr": np.empty((steps, blocks, batch, 2 * hb)),
+                "cand": np.empty((steps, blocks, batch, hb)),
                 "states": states,
                 "hs": states.reshape(batch, steps, blocks, hb).transpose(2, 0, 1, 3),
             }
@@ -258,7 +257,7 @@ class GRUCell:
         """
         batch, steps, _ = xs.shape
         blocks, hb = self.blocks, self.hidden // self.blocks
-        buf = self._buffers(batch, steps, xs.dtype)
+        buf = self._buffers(batch, steps)
         zr, cand, hs = buf["zr"], buf["cand"], buf["hs"]
         gates = self._split_gates(xs, out=buf["gates"]).reshape(blocks, batch, steps, 3 * hb)
         weights = self.step_weights()

@@ -271,6 +271,8 @@ class QuantizerModel:
                 and all(0 <= b <= 32 and cb.shape == (2**b, cols.stop - cols.start)
                         for cols, b, cb in zip(splits, bits.tolist(), codebooks))):
             raise FormatError("quantizer model entries have inconsistent shapes")
+        if not bits.any():  # no payload would bound a bitstream's supervector count
+            raise FormatError("quantizer model codes no split")
         klt = KLTModel(mean, basis, eig, bool(rank_deficient))
         return cls(klt, SplitVQModel(split_dim, bits, codebooks), stack, digest, seed)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer, load_wav
-from .config import CodecConfig, TrainConfig
+from .config import CodecConfig, TrainConfig, read_text
 from .container import entry
 from .errors import ConfigError, NumericError
 from .features import frame_signal, log_mel_features
@@ -259,12 +259,12 @@ class ClipDataset:
         return cls(cfg, clips, noises)
 
     @classmethod
-    def from_manifest(cls, cfg: CodecConfig, entries, split: str = "train") -> "ClipDataset":
+    def from_manifest(cls, cfg: CodecConfig, entries) -> "ClipDataset":
         clips, noises = [], []
         sr = cfg.features.sample_rate
         n = int(round(cfg.train.clip_seconds * sr))
         for entry in entries:
-            if entry.split != split:
+            if entry.split != "train":
                 continue
             buf = load_wav(entry.clean_path)
             if buf.sample_rate != sr:
@@ -323,18 +323,16 @@ def parse_manifest(path) -> list[ManifestEntry]:
     appear in both splits.
     """
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ConfigError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            clean, noise, split = (p.strip() for p in parts)
-            if split not in ("train", "dev"):
-                raise ConfigError(f"{path}:{lineno}: split must be train or dev")
-            entries.append(ManifestEntry(clean, noise if noise not in ("", "-") else None, split))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ConfigError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        clean, noise, split = (p.strip() for p in parts)
+        if split not in ("train", "dev"):
+            raise ConfigError(f"{path}:{lineno}: split must be train or dev")
+        entries.append(ManifestEntry(clean, noise if noise not in ("", "-") else None, split))
     by_split: dict[str, set] = {"train": set(), "dev": set()}
     for e in entries:
         by_split[e.split].add(e.clean_path)

@@ -406,6 +406,41 @@ class TestUsage:
         assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("case", ["train.seed", "quantizer.seed", "--seed"])
+def test_negative_seed_exits_2_without_traceback(env, tmp_path, case):
+    # np.random.default_rng raises ValueError for a negative seed
+    cfg = copy.deepcopy(env["cfg"])
+    if case == "train.seed":
+        cfg.train.seed = -1
+        command = ["train", "--out-dir", str(tmp_path / "run")]
+    elif case == "quantizer.seed":
+        cfg.quantizer.seed = -5
+        command = ["fit-quantizer", "--synthetic", "4", "--out", str(tmp_path / "q.lvrq")]
+    else:
+        command = ["decode", "--quantizer", str(env["quant"]), "--model", str(env["ckpt"]),
+                   "--seed", "-1", str(env["wav"]), str(tmp_path / "out.wav")]
+    cfg_path = tmp_path / "seed.cfg"
+    cfg_path.write_text(cfg.to_text())  # to_text writes it unvalidated
+    out = _python("-m", "lvrc.cli", *command, "--config", str(cfg_path))
+    assert out.returncode == 2
+    assert "seed" in out.stderr and "must be >= 0" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("bad", ["config", "manifest"])
+def test_non_utf8_file_exits_2_without_traceback(env, tmp_path, bad):
+    cfg_path, manifest = tmp_path / "toy.cfg", tmp_path / "train.tsv"
+    cfg_path.write_text(env["cfg"].to_text())
+    manifest.write_text(f"{env['wav']}\t-\ttrain\n")
+    target = cfg_path if bad == "config" else manifest
+    target.write_bytes(target.read_bytes() + b"# caf\xe9\n")  # a Latin-1 byte
+    out = _python("-m", "lvrc.cli", "fit-quantizer", "--config", str(cfg_path),
+                  "--manifest", str(manifest), "--out", str(tmp_path / "q.lvrq"))
+    assert out.returncode == 2
+    assert f"error: {target}: not UTF-8 text" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def _python(*args):
     """A fresh interpreter run on the lvrc under test, output captured."""
     src = os.path.dirname(os.path.dirname(lvrc.__file__))

@@ -31,9 +31,10 @@ def test_unknown_key_rejected():
     "train.beta1 = 0.9",
     "train.beta2 = 0.999",
     "train.adam_eps = 1e-08",
+    "model.dtype = float64",  # the model is float64; only generate() takes a dtype
 ])
 def test_constant_keys_rejected(line):
-    # module constants, not keys: a file that names one predates the 39-key set
+    # module constants, not keys: a file that names one predates the 38-key set
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(line + "\n")
 
@@ -66,7 +67,6 @@ def test_bad_values_rejected():
                 "model.n_mix = 0",
                 "model.gru_blocks = 0",
                 "model.gru_blocks = -2",
-                "model.dtype = float46",
                 "train.nu = nan",
                 "train.lr = inf",
                 "train.var_floor = 0",  # ln(sigma + var_floor) needs a positive floor
@@ -78,6 +78,9 @@ def test_bad_values_rejected():
                 "features.mel_fmax = -5",
                 "features.mel_fmax = 9000",  # above the 8 kHz Nyquist
                 "quantizer.bits_per_supervector = 1281",  # 160 splits of <= 8 bits
+                "quantizer.bits_per_supervector = 0",  # no payload bounds the header's count
+                "quantizer.seed = -5",  # np.random.default_rng takes no negative seed
+                "train.seed = -1",
                 "train.nu = 0.01\ntrain.nu = 0.01"):  # a key set twice, even to one value
         with pytest.raises(ConfigError):
             parse_config(bad + "\n")

@@ -147,7 +147,7 @@ class TestTeacherForced:
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("regularizer", ["log", "linear"])
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("dtype", ["float64"])  # the model's one dtype
     def test_chunked_forward_only_equals_gradient_pass(self, batch, blocks, regularizer, dtype):
         # tile 5: 14 frames give 112 conditioning rows over 560 steps, so
         # three whole chunks of 32 rows and a partial one of 16. Exact
@@ -155,7 +155,7 @@ class TestTeacherForced:
         # a row the same bits for a 160-step chunk as for the whole clip:
         # OpenBLAS does so here, but BLAS does not promise it, so a build
         # that differs calls for a tolerance argued from eps instead.
-        model = tiny_model(seed=43, gru_blocks=blocks, frame_rate=5, dtype=dtype)
+        model = tiny_model(seed=43, gru_blocks=blocks, frame_rate=5)
         span = model_mod.FORWARD_CHUNK_ROWS * model.cfg.tile_factor
         rng = np.random.default_rng(44)
         audio, mels, voicing = tiny_batch(rng, model, batch=batch, length=2240, frames=14)
@@ -165,7 +165,7 @@ class TestTeacherForced:
         assert forward["steps"] > 3 * span and forward["steps"] % span
         for key in ("loss", "nll", "jvar", "sigma", "sigma_all", "weights"):
             assert np.array_equal(forward[key], full[key]), key
-            assert np.asarray(forward[key]).dtype == np.asarray(full[key]).dtype, key
+            assert np.asarray(forward[key]).dtype == np.asarray(full[key]).dtype == dtype, key
 
     def test_forward_only_numeric_error_names_the_peaks_of_every_chunk(self):
         # a NaN voicing weight makes the loss non-finite; the message's

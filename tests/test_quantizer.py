@@ -334,7 +334,7 @@ class TestEncodeDecode:
         assert np.array_equal(decoded, q.reconstruct_from_indices(indices, 10, loaded))
 
     @pytest.mark.parametrize("damage", ["no meta", "short meta", "no codebook", "stack 0",
-                                        "split_dim 3", "codebook rows"])
+                                        "split_dim 3", "codebook rows", "no bits"])
     def test_missing_or_inconsistent_entries_rejected(self, fitted, tmp_path, damage):
         _, model = fitted
         path = tmp_path / "m.lvrq"
@@ -350,6 +350,10 @@ class TestEncodeDecode:
             del arrays["codebook/1"]
         elif damage == "codebook rows":
             arrays["codebook/0"] = arrays["codebook/0"][:-1]
+        elif damage == "no bits":  # consistent, but no payload bounds a bitstream's count
+            arrays["allocations"] = np.zeros_like(arrays["allocations"])
+            for j in range(len(model.vq.codebooks)):
+                arrays[f"codebook/{j}"] = np.zeros((1, arrays[f"codebook/{j}"].shape[1]))
         else:
             meta[0 if damage == "stack 0" else 1] = int(damage.split()[1])
             arrays["meta"] = meta
