@@ -20,7 +20,7 @@ from . import quantizer as q
 from .audio import AudioBuffer, load_wav, save_wav
 from .config import load_config
 from .container import write_file_atomic
-from .errors import CodecError, ConfigError, FormatError, NumericError
+from .errors import CodecError, ConfigError, FormatError
 from .features import log_mel_features
 from .filterbank import snr_db
 from .model import CodecModel
@@ -154,9 +154,7 @@ def cmd_eval(args) -> int:
         if len(frames) == 0:
             missing.append(f"{entry.clean_path}: too short")
             continue
-        voicing = voicing_per_frame(
-            audio.samples, feat.window_length, feat.hop_length, feat.sample_rate
-        )
+        voicing = voicing_per_frame(audio.samples, feat)
         stats = model.teacher_forced(audio.samples, frames, voicing=voicing[None],
                                      compute_grads=False)
         sigma = stats["sigma_all"][0]  # (T, N)
@@ -243,18 +241,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:
+    except (CodecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CodecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code if isinstance(exc, CodecError) else 2
 
 
 if __name__ == "__main__":

@@ -17,6 +17,15 @@ from typing import ClassVar
 from .errors import ConfigError
 
 DIGEST_SIZE = 8
+# The one frame grid: mel frames of WINDOW_MS every HOP_MS, so FRAME_RATE
+# frames per second, for the features, the voicing and the model alike.
+WINDOW_MS, HOP_MS = 80, 20
+FRAME_RATE = 1000 // HOP_MS
+
+
+def hop_samples(sample_rate: int) -> int:
+    """Samples per hop; sample_rate // FRAME_RATE at every rate the model accepts."""
+    return round(sample_rate * HOP_MS / 1000)
 
 
 @dataclass
@@ -24,23 +33,17 @@ class FeatureConfig:
     """Log mel analysis settings."""
 
     sample_rate: int = 16000
-    window_ms: float = 80.0
-    hop_ms: float = 20.0
     n_mels: int = 160
     mel_fmin: float = 0.0
     mel_fmax: float = 0.0  # 0 -> sample_rate / 2
 
     @property
     def window_length(self) -> int:
-        return int(round(self.sample_rate * self.window_ms / 1000.0))
+        return round(self.sample_rate * WINDOW_MS / 1000)
 
     @property
     def hop_length(self) -> int:
-        return int(round(self.sample_rate * self.hop_ms / 1000.0))
-
-    @property
-    def frame_rate(self) -> float:
-        return 1000.0 / self.hop_ms
+        return hop_samples(self.sample_rate)
 
     @property
     def fft_size(self) -> int:
@@ -54,10 +57,6 @@ class FeatureConfig:
         return self.mel_fmax or self.sample_rate / 2.0
 
     def validate(self) -> None:
-        if self.hop_ms <= 0:
-            raise ConfigError("hop_ms must be positive")
-        if self.window_ms < self.hop_ms:
-            raise ConfigError("window_ms must be >= hop_ms")
         if self.n_mels >= self.fft_size // 2:
             raise ConfigError("n_mels must be < fft_size/2")
         # an empty or out-of-band mel range leaves filters at the log floor on every input
@@ -74,7 +73,6 @@ class ModelConfig:
     gru_state: int = 1024
     cond_channels: int = 512
     n_mels: int = 160
-    frame_rate: int = 50
     sample_rate: int = 16000
     gru_blocks: int = 1  # >1 switches the six gate matrices to block-diagonal
     fb_taps: int = 192
@@ -87,11 +85,11 @@ class ModelConfig:
 
     @property
     def tile_factor(self) -> int:
-        return self.band_rate // (self.frame_rate * 8)
+        return self.band_rate // (FRAME_RATE * 8)
 
     def validate(self) -> None:
-        for key in ("n_mix", "gru_state", "cond_channels", "n_mels", "frame_rate",
-                    "sample_rate", "gru_blocks", "fb_taps"):
+        for key in ("n_mix", "gru_state", "cond_channels", "n_mels", "sample_rate",
+                    "gru_blocks", "fb_taps"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self.n_bands < 2:  # the filterbank splits the signal into >= 2 bands
@@ -100,8 +98,8 @@ class ModelConfig:
             raise ConfigError("fb_taps must be a multiple of 2*n_bands")
         if self.sample_rate % self.n_bands != 0:
             raise ConfigError("sample_rate must be divisible by n_bands")
-        if self.band_rate % (self.frame_rate * 8) != 0:
-            raise ConfigError("band rate must be an integer multiple of 8x frame_rate")
+        if self.band_rate % (FRAME_RATE * 8) != 0:
+            raise ConfigError(f"band rate must be an integer multiple of {FRAME_RATE * 8} Hz")
         if self.gru_state % self.gru_blocks != 0:
             raise ConfigError("gru_state must be divisible by gru_blocks")
 
@@ -156,6 +154,8 @@ class TrainConfig:
             raise ConfigError("nu must be >= 0")
         if self.snr_min > self.snr_max:
             raise ConfigError("snr_min must be <= snr_max")
+        if not math.isfinite(self.snr_max - self.snr_min):  # the range rng.uniform draws from
+            raise ConfigError("snr_max - snr_min must be finite")
         if self.regularizer not in ("log", "linear"):
             raise ConfigError("regularizer must be 'log' or 'linear'")
         if not self.var_floor > 0:  # the log regularizer takes ln(sigma + var_floor)
@@ -168,7 +168,8 @@ class TrainConfig:
             raise ConfigError("baseline_gamma0 must be in [0, 1)")
         if self.seed < 0:  # np.random.default_rng takes no negative seed
             raise ConfigError("seed must be >= 0")
-        for key in ("batch_size", "lr", "prune_interval", "checkpoint_interval", "clip_seconds"):
+        for key in ("steps", "batch_size", "lr", "prune_interval", "checkpoint_interval",
+                    "clip_seconds"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
 
@@ -199,8 +200,6 @@ class CodecConfig:
             raise ConfigError("feature and model sample rates differ")
         if self.features.n_mels != self.model.n_mels:
             raise ConfigError("feature and model mel counts differ")
-        if self.features.frame_rate != self.model.frame_rate:
-            raise ConfigError("feature hop and model frame rate differ")
         q = self.quantizer
         n_splits = math.ceil(self.features.n_mels * q.stack / q.split_dim)
         if q.bits_per_supervector > n_splits * q.max_bits_per_split:
@@ -335,7 +334,6 @@ def toy_config() -> CodecConfig:
             gru_state=64,
             cond_channels=32,
             n_mels=32,
-            frame_rate=50,
             sample_rate=8000,
             fb_taps=96,
         ),

@@ -1,16 +1,20 @@
 """Exception hierarchy shared by the codec modules.
 
-The CLI maps these onto exit codes: usage errors exit 2, format/digest
-errors exit 3, numeric failures exit 4.
+Each class carries the CLI's exit code for it: usage errors exit 2,
+format/digest errors 3, numeric failures 4, any other codec error 1.
 """
 
 
 class CodecError(Exception):
     """Base class for all codec errors."""
 
+    exit_code = 1
+
 
 class FormatError(CodecError):
     """Unsupported or malformed file content (WAV encoding, bad magic, ...)."""
+
+    exit_code = 3
 
 
 class DigestError(FormatError):
@@ -24,6 +28,10 @@ class FramingError(FormatError):
 class ConfigError(CodecError):
     """Invalid or inconsistent configuration values."""
 
+    exit_code = 2
+
 
 class NumericError(CodecError):
     """Non-finite values where finite ones are required."""
+
+    exit_code = 4

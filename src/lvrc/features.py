@@ -65,6 +65,11 @@ def filter_center_frequencies(cfg: FeatureConfig) -> np.ndarray:
     return mel_to_hz(mel_pts[1:-1])
 
 
+def frame_count(length: int, window: int, hop: int) -> int:
+    """Frames `frame_signal` cuts from `length` samples."""
+    return 0 if length < window else (length + 2 * (window // 2) - window) // hop + 1
+
+
 def frame_signal(samples: np.ndarray, window: int, hop: int) -> np.ndarray:
     """Center-aligned frames of (..., L) samples: (..., n_frames, window), none if L < window.
 

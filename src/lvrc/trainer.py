@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer, load_wav
-from .config import CodecConfig, TrainConfig, read_text
+from .config import CodecConfig, FeatureConfig, TrainConfig, read_text
 from .container import entry
 from .errors import ConfigError, NumericError
-from .features import frame_signal, log_mel_features
+from .features import frame_count, frame_signal, log_mel_features
 from .model import CodecModel
 from .neural import Adam, prune_update
 
@@ -63,22 +63,19 @@ def voicing_score(frames: np.ndarray, sample_rate: int) -> np.ndarray:
     return np.clip(best, 0.0, 1.0).reshape(frames.shape[:-1])
 
 
-def voicing_per_frame(samples, window: int, hop: int, sample_rate: int) -> np.ndarray:
+def voicing_per_frame(samples: np.ndarray, feat: FeatureConfig) -> np.ndarray:
     """Voicing of each mel-frontend frame of samples (..., L), shape (..., n_frames).
 
-    samples may also be a list of equal-length clips, scored as their stack
-    without the stack being built. Each call scores about
-    `VOICING_CHUNK_SAMPLES` samples' worth of frames: as many whole rows as
-    fit, or one row's frames a block at a time when a row is longer, so
-    neither a long signal nor a pool of clips is ever framed whole.
+    Each call scores about `VOICING_CHUNK_SAMPLES` samples' worth of frames:
+    as many whole rows as fit, or one row's frames a block at a time when a
+    row is longer, so neither a long signal nor a pool of clips is ever
+    framed whole.
     """
-    if isinstance(samples, list):
-        rows, lead, length = samples, (len(samples),), len(samples[0])
-    else:
-        samples = np.asarray(samples, dtype=np.float64)
-        lead, length = samples.shape[:-1], samples.shape[-1]
-        rows = samples.reshape(math.prod(lead), length)
-    n_frames = 0 if length < window else (length + 2 * (window // 2) - window) // hop + 1
+    window, hop, sr = feat.window_length, feat.hop_length, feat.sample_rate
+    samples = np.asarray(samples, dtype=np.float64)
+    lead, length = samples.shape[:-1], samples.shape[-1]
+    rows = samples.reshape(math.prod(lead), length)
+    n_frames = frame_count(length, window, hop)
     rows_per_call = max(1, VOICING_CHUNK_SAMPLES // max(length, 1))
     frames_per_call = max(1, VOICING_CHUNK_SAMPLES // hop)
     out = np.empty((len(rows), n_frames))
@@ -86,7 +83,7 @@ def voicing_per_frame(samples, window: int, hop: int, sample_rate: int) -> np.nd
         frames = frame_signal(rows[r : r + rows_per_call], window, hop)  # a view
         for lo in range(0, n_frames, frames_per_call):
             block = slice(lo, lo + frames_per_call)
-            out[r : r + rows_per_call, block] = voicing_score(frames[:, block], sample_rate)
+            out[r : r + rows_per_call, block] = voicing_score(frames[:, block], sr)
     return out.reshape(lead + (n_frames,))
 
 
@@ -227,25 +224,24 @@ def synthetic_clip(rng: np.random.Generator, sample_rate: int, n_samples: int) -
 class ClipDataset:
     """Fixed pool of equal-length clips with per-step noise augmentation.
 
-    Voicing scores are computed once on the clean clips; mel features are
-    recomputed per step because they see the mixed signal.
+    The clips are one (n_clips, L) array, cut to whole band steps; a list
+    of equal-length clips is stacked into it. Voicing scores are computed
+    once on the clean clips; mel features are recomputed per step because
+    they see the mixed signal.
     """
 
-    def __init__(self, cfg: CodecConfig, clips: list[np.ndarray],
-                 noises: list[np.ndarray]):
-        if not clips:
+    def __init__(self, cfg: CodecConfig, clips: np.ndarray, noises: list[np.ndarray]):
+        clips = np.asarray(clips, dtype=np.float64)
+        if clips.ndim != 2 or len(clips) == 0:
             raise ConfigError("dataset needs at least one clip")
         if any(len(x) == 0 for x in noises):  # mix_noise needs a sample to tile
             raise ConfigError("noise has no samples")
-        n = min(len(c) for c in clips)
-        n -= n % cfg.model.n_bands
+        n = clips.shape[1] - clips.shape[1] % cfg.model.n_bands
         self.cfg = cfg
-        self.clips = [np.asarray(c[:n], dtype=np.float64) for c in clips]
+        self.clips = clips[:, :n]
         self.noises = [np.asarray(x, dtype=np.float64) for x in noises]
         self.clip_len = n
-        feat = cfg.features
-        self.voicing = voicing_per_frame(self.clips, feat.window_length, feat.hop_length,
-                                         feat.sample_rate)
+        self.voicing = voicing_per_frame(self.clips, cfg.features)
 
     @classmethod
     def synthetic(cls, cfg: CodecConfig, n_clips: int = 48, n_noises: int = 12,

@@ -123,7 +123,7 @@ def test_criterion_02_gradient_suite():
 
     # the combined teacher-forced objective, all regularizer/baseline variants
     tiny = dict(n_bands=4, n_mix=2, gru_state=6, cond_channels=4, n_mels=3,
-                frame_rate=25, sample_rate=800, fb_taps=16)
+                sample_rate=1600, fb_taps=16)
     variants = [(0.0, "log", 0.0), (0.05, "log", 0.0), (0.05, "linear", 0.0),
                 (0.05, "log", 0.3), (0.05, "linear", 0.3)]
     configs = 0

@@ -16,6 +16,8 @@ from lvrc import quantizer as q
 from lvrc.audio import AudioBuffer, load_wav, save_wav
 from lvrc.config import paper_config, toy_config
 from lvrc.container import read_container, write_container
+from lvrc.errors import (CodecError, ConfigError, DigestError, FramingError,
+                         NumericError)
 from lvrc.model import CHECKPOINT_MAGIC, CodecModel
 from lvrc.trainer import synthetic_clip
 
@@ -404,6 +406,46 @@ class TestUsage:
         assert out.returncode == 2
         assert "error: checkpoint_interval must be positive" in out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_huge_snr_range_exits_2_without_traceback(self, tmp_path):
+        # finite bounds, but rng.uniform's range overflows: OverflowError, exit 1
+        cfg_path = tmp_path / "toy.cfg"
+        cfg = toy_config()
+        cfg.train.snr_min, cfg.train.snr_max = -1e308, 1e308
+        cfg_path.write_text(cfg.to_text())
+        out = _python("-m", "lvrc.cli", "train", "--config", str(cfg_path),
+                      "--out-dir", str(tmp_path / "run"))
+        assert out.returncode == 2
+        assert "error: snr_max - snr_min must be finite" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("key,value", [("features.window_ms", "80.0"),
+                                           ("features.hop_ms", "20.0"),
+                                           ("model.frame_rate", "50")])
+    def test_frame_grid_key_exits_2(self, tmp_path, capsys, key, value):
+        # the window, hop and frame rate are module constants, not keys
+        lines = [line for line in toy_config().to_text().splitlines()
+                 if not line.startswith(key + " ")]
+        cfg_path = tmp_path / "toy.cfg"
+        cfg_path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        rc = cli.main(["fit-quantizer", "--config", str(cfg_path), "--synthetic", "4",
+                       "--out", str(tmp_path / "q.lvrq")])
+        assert rc == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc,code", [
+        (CodecError("boom"), 1), (ConfigError("boom"), 2), (OSError("boom"), 2),
+        (DigestError("boom"), 3), (FramingError("boom"), 3), (NumericError("boom"), 4),
+    ])
+    def test_exit_code_table(self, monkeypatch, capsys, exc, code):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_encode", fail)
+        rc = cli.main(["encode", "--config", "c.cfg", "--quantizer", "q.lvrq", "in", "out"])
+        assert rc == code
+        assert capsys.readouterr().err == "error: boom\n"
+
 
 
 @pytest.mark.parametrize("case", ["train.seed", "quantizer.seed", "--seed"])

@@ -32,9 +32,12 @@ def test_unknown_key_rejected():
     "train.beta2 = 0.999",
     "train.adam_eps = 1e-08",
     "model.dtype = float64",  # the model is float64; only generate() takes a dtype
+    "features.window_ms = 80.0",  # one frame grid: config.WINDOW_MS, HOP_MS, FRAME_RATE
+    "features.hop_ms = 20.0",
+    "model.frame_rate = 50",
 ])
 def test_constant_keys_rejected(line):
-    # module constants, not keys: a file that names one predates the 38-key set
+    # module constants, not keys: a file that names one predates the 35-key set
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(line + "\n")
 
@@ -60,10 +63,7 @@ def test_digest_sensitive_to_architecture_not_training():
 def test_bad_values_rejected():
     with pytest.raises(ConfigError):
         parse_config("model.gru_state = many\n")
-    with pytest.raises(ConfigError):
-        parse_config("features.window_ms = 10\nfeatures.hop_ms = 20\n")
     for bad in ("train.reg_bands = 0", "train.reg_bands = 5",
-                "features.hop_ms = 10.0",  # 100 frames/s against model.frame_rate 50
                 "model.n_mix = 0",
                 "model.gru_blocks = 0",
                 "model.gru_blocks = -2",
@@ -81,6 +81,8 @@ def test_bad_values_rejected():
                 "quantizer.bits_per_supervector = 0",  # no payload bounds the header's count
                 "quantizer.seed = -5",  # np.random.default_rng takes no negative seed
                 "train.seed = -1",
+                # finite bounds whose range overflows rng.uniform
+                "train.snr_min = -1e308\ntrain.snr_max = 1e308",
                 "train.nu = 0.01\ntrain.nu = 0.01"):  # a key set twice, even to one value
         with pytest.raises(ConfigError):
             parse_config(bad + "\n")
@@ -100,7 +102,8 @@ def test_bad_values_rejected():
     "model.gru_state = 0",
     "model.cond_channels = 0",
     "model.n_bands = 0",
-    "features.hop_ms = 0.0",
+    "train.steps = 0",  # unchecked, no step runs and training exits 0
+    "train.steps = -1",
 ])
 def test_non_positive_sizes_rejected(lines):
     # unchecked, each of these crashes training with a ZeroDivisionError or ValueError
@@ -110,8 +113,9 @@ def test_non_positive_sizes_rejected(lines):
 
 def test_tile_factor_consistency_checked():
     cfg = toy_config()
-    cfg.model.frame_rate = 33  # 8x frame rate no longer divides the band rate
-    with pytest.raises(ConfigError):
+    # 8800 / 4 bands = 2200 Hz: 8 x the 50 Hz frame rate no longer divides the band rate
+    cfg.features.sample_rate = cfg.model.sample_rate = 8800
+    with pytest.raises(ConfigError, match="band rate"):
         cfg.validate()
 
 
@@ -124,7 +128,8 @@ def test_paper_preset_headline_numbers():
     cfg = paper_config()
     assert cfg.features.sample_rate == 16000
     assert cfg.features.n_mels == 160
-    assert cfg.features.frame_rate == 50.0
+    assert cfg.features.hop_length == 320  # 20 ms
+    assert cfg.features.window_length == 1280  # 80 ms
     assert cfg.model.n_bands == 4
     assert cfg.model.n_mix == 8
     assert cfg.model.gru_state == 1024

@@ -11,6 +11,7 @@ from lvrc.features import (
     LOG_FLOOR,
     _analysis_window,
     filter_center_frequencies,
+    frame_count,
     frame_signal,
     log_mel_features,
     mel_filterbank,
@@ -50,6 +51,12 @@ def test_frame_count_rule_random_lengths():
         n = int(rng.integers(window, 5 * 16000))
         frames = frame_signal(np.zeros(n), window, hop)
         assert len(frames) == n // hop + 1
+
+
+@pytest.mark.parametrize("window,hop", [(1280, 320), (7, 3), (8, 3), (1, 1)])
+def test_frame_count_is_frame_signals_count(window, hop):
+    for n in range(0, 3 * window + 2 * hop):
+        assert frame_count(n, window, hop) == frame_signal(np.zeros(n), window, hop).shape[0]
 
 
 def test_too_short_yields_empty():

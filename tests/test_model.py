@@ -16,7 +16,7 @@ from lvrc.neural import GRUCell, dense_forward
 from conftest import fd_rel_error, reference_sample
 
 TINY = dict(n_bands=4, n_mix=2, gru_state=8, cond_channels=6, n_mels=5,
-            frame_rate=25, sample_rate=800, fb_taps=16)
+            sample_rate=1600, fb_taps=16)  # tile 1, hop 32
 
 
 def tiny_model(seed=0, **overrides):
@@ -36,7 +36,7 @@ class TestConditioning:
     def test_paper_rate_chain(self):
         # 50 Hz frames -> x8 transpose convs -> 400 Hz -> tiled x10 -> 4000 Hz
         cfg = ModelConfig(n_bands=4, n_mix=2, gru_state=8, cond_channels=6,
-                          n_mels=5, frame_rate=50, sample_rate=16000, fb_taps=16)
+                          n_mels=5, sample_rate=16000, fb_taps=16)
         assert cfg.tile_factor == 10
         model = CodecModel(cfg, seed=0)
         raw_cond, _ = model.cond.forward(np.zeros((1, 7, 5)))
@@ -88,21 +88,21 @@ class TestTeacherForced:
         assert double["loss"] == pytest.approx(single["loss"], rel=1e-12)
 
     @pytest.mark.parametrize(
-        "nu,regularizer,gamma0,blocks,frame_rate",
+        "nu,regularizer,gamma0,blocks,sample_rate",
         [
-            pytest.param(0.0, "log", 0.0, 1, 25, id="0.0-log-0.0-1"),
-            pytest.param(0.05, "log", 0.0, 1, 25, id="0.05-log-0.0-1"),
-            pytest.param(0.05, "linear", 0.0, 1, 25, id="0.05-linear-0.0-1"),
-            pytest.param(0.05, "log", 0.3, 1, 25, id="0.05-log-0.3-1"),
-            pytest.param(0.05, "log", 0.0, 2, 25, id="0.05-log-0.0-2"),
+            pytest.param(0.0, "log", 0.0, 1, 1600, id="0.0-log-0.0-1"),
+            pytest.param(0.05, "log", 0.0, 1, 1600, id="0.05-log-0.0-1"),
+            pytest.param(0.05, "linear", 0.0, 1, 1600, id="0.05-linear-0.0-1"),
+            pytest.param(0.05, "log", 0.3, 1, 1600, id="0.05-log-0.3-1"),
+            pytest.param(0.05, "log", 0.0, 2, 1600, id="0.05-log-0.0-2"),
             # tile 5 over 8 steps: one whole conditioning frame, a partial
             # one, and frames past the audio that get no gradient
-            pytest.param(0.05, "log", 0.0, 1, 5, id="0.05-log-0.0-1-tile5"),
+            pytest.param(0.05, "log", 0.0, 1, 8000, id="0.05-log-0.0-1-tile5"),
         ],
     )
     def test_gradient_matches_finite_differences(self, nu, regularizer, gamma0, blocks,
-                                                 frame_rate):
-        model = tiny_model(seed=7, gru_blocks=blocks, frame_rate=frame_rate)
+                                                 sample_rate):
+        model = tiny_model(seed=7, gru_blocks=blocks, sample_rate=sample_rate)
         rng = np.random.default_rng(11)
         audio, mels, voicing = tiny_batch(rng, model, batch=1, length=32)
 
@@ -155,7 +155,7 @@ class TestTeacherForced:
         # a row the same bits for a 160-step chunk as for the whole clip:
         # OpenBLAS does so here, but BLAS does not promise it, so a build
         # that differs calls for a tolerance argued from eps instead.
-        model = tiny_model(seed=43, gru_blocks=blocks, frame_rate=5)
+        model = tiny_model(seed=43, gru_blocks=blocks, sample_rate=8000)
         span = model_mod.FORWARD_CHUNK_ROWS * model.cfg.tile_factor
         rng = np.random.default_rng(44)
         audio, mels, voicing = tiny_batch(rng, model, batch=batch, length=2240, frames=14)
@@ -171,7 +171,7 @@ class TestTeacherForced:
         # a NaN voicing weight makes the loss non-finite; the message's
         # max |h| and max |raw| are those over the whole clip, as in the
         # gradient pass, which sees every step at once
-        model = tiny_model(seed=45, frame_rate=5)
+        model = tiny_model(seed=45, sample_rate=8000)
         rng = np.random.default_rng(46)
         audio, mels, voicing = tiny_batch(rng, model, batch=1, length=2240, frames=14)
         voicing[0, -1] = np.nan
@@ -319,9 +319,9 @@ class TestGenerate:
     @pytest.mark.parametrize("blocks", [1, 4])
     def test_matches_layer_by_layer_reference(self, blocks):
         model, mels = biased_tiny_model(blocks)
-        fast = model.generate(mels, np.random.default_rng(17), seconds=0.25,
+        fast = model.generate(mels, np.random.default_rng(17), seconds=0.125,
                               dtype=np.float64).samples
-        slow = reference_generate(model, mels, np.random.default_rng(17), seconds=0.25)
+        slow = reference_generate(model, mels, np.random.default_rng(17), seconds=0.125)
         assert len(fast) == len(slow) == 200
         assert np.max(np.abs(fast - slow)) <= 1e-12
 
@@ -340,8 +340,8 @@ class TestGenerate:
         differently would move a sample by 1e-2 or more.
         """
         model, mels = biased_tiny_model(blocks)
-        single = model.generate(mels, np.random.default_rng(17), seconds=0.25).samples
-        double = model.generate(mels, np.random.default_rng(17), seconds=0.25,
+        single = model.generate(mels, np.random.default_rng(17), seconds=0.125).samples
+        double = model.generate(mels, np.random.default_rng(17), seconds=0.125,
                                 dtype=np.float64).samples
         assert len(single) == len(double) == 200
         assert np.max(np.abs(single - double)) <= 1e-5
@@ -350,8 +350,8 @@ class TestGenerate:
         model = tiny_model(seed=20, gru_blocks=4)
         before = model.weights_checksum()
         mels = np.random.default_rng(21).uniform(-12, 0, (8, 5))
-        a = model.generate(mels, np.random.default_rng(22), seconds=0.25).samples
-        b = model.generate(mels, np.random.default_rng(22), seconds=0.25).samples
+        a = model.generate(mels, np.random.default_rng(22), seconds=0.125).samples
+        b = model.generate(mels, np.random.default_rng(22), seconds=0.125).samples
         assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
         assert all(p.value.dtype == np.float64 for p in model.parameters())
         assert model.weights_checksum() == before
@@ -368,8 +368,8 @@ class TestGenerate:
         monkeypatch.setattr(GRUCell, "step", counted("step", GRUCell.step))
         monkeypatch.setattr(mol, "sample", counted("sample", mol.sample))
         model = tiny_model(seed=18)
-        model.generate(np.zeros((8, 5)), np.random.default_rng(0), seconds=0.25)
-        steps = int(0.25 * model.cfg.sample_rate) // model.cfg.n_bands
+        model.generate(np.zeros((8, 5)), np.random.default_rng(0), seconds=0.125)
+        steps = int(0.125 * model.cfg.sample_rate) // model.cfg.n_bands
         assert counts == {"step": steps, "sample": steps}
 
     def test_training_never_enters_the_decode_step(self, monkeypatch):
@@ -389,19 +389,19 @@ class TestGenerate:
     def test_fixed_seed_reproducible(self):
         model = tiny_model(seed=9)
         mels = np.random.default_rng(1).uniform(-12, 0, (6, 5))
-        a = model.generate(mels, np.random.default_rng(42), seconds=0.2)
-        b = model.generate(mels, np.random.default_rng(42), seconds=0.2)
+        a = model.generate(mels, np.random.default_rng(42), seconds=0.1)
+        b = model.generate(mels, np.random.default_rng(42), seconds=0.1)
         assert np.array_equal(a.samples, b.samples)
 
     def test_length_law(self):
         model = tiny_model(seed=10)
         mels = np.zeros((10, 5))
-        out = model.generate(mels, np.random.default_rng(0), seconds=0.3)
-        expected = int(0.3 * model.cfg.sample_rate) // model.cfg.n_bands * model.cfg.n_bands
+        out = model.generate(mels, np.random.default_rng(0), seconds=0.15)
+        expected = int(0.15 * model.cfg.sample_rate) // model.cfg.n_bands * model.cfg.n_bands
         assert len(out.samples) == expected
 
     def test_frames_times_hop_is_the_length(self):
-        # 402 * 32 / 800 * 800 is 12863.999...: truncating it lost a band step
+        # 402 * 32 / 1600 * 1600 is 12863.999...: truncating it lost a band step
         model = tiny_model(seed=10)
         hop, sr = model.hop, model.cfg.sample_rate
         out = model.generate(np.zeros((402, 5)), np.random.default_rng(0), seconds=402 * hop / sr)
@@ -410,24 +410,24 @@ class TestGenerate:
     def test_untrained_output_bounded_and_nonsilent(self):
         model = tiny_model(seed=11)
         mels = np.random.default_rng(2).uniform(-12, 0, (8, 5))
-        out = model.generate(mels, np.random.default_rng(3), seconds=0.25)
+        out = model.generate(mels, np.random.default_rng(3), seconds=0.125)
         rms = np.sqrt(np.mean(out.samples**2))
         assert 0.0 < rms <= 1.0
 
     def test_conditioning_budget_enforced(self):
         model = tiny_model()
         with pytest.raises(ConfigError):
-            model.generate(np.zeros((2, 5)), np.random.default_rng(0), seconds=10.0)
+            model.generate(np.zeros((2, 5)), np.random.default_rng(0), seconds=5.0)
 
     def test_generation_causal_in_conditioning(self):
         # perturbing a late mel frame cannot change earlier output
         model = tiny_model(seed=12)
         rng_mels = np.random.default_rng(4)
         mels = rng_mels.uniform(-12, 0, (8, 5))
-        a = model.generate(mels, np.random.default_rng(7), seconds=0.25)
+        a = model.generate(mels, np.random.default_rng(7), seconds=0.125)
         mels2 = mels.copy()
         mels2[6] += 1.0
-        b = model.generate(mels2, np.random.default_rng(7), seconds=0.25)
+        b = model.generate(mels2, np.random.default_rng(7), seconds=0.125)
         # frame 6 first influences conditioning frame 5 (one-frame lookahead),
         # i.e. band step 5*8*tile and sample index N times that
         first_affected = 5 * 8 * model.cfg.tile_factor * model.cfg.n_bands
@@ -441,7 +441,7 @@ class TestGenerate:
         audio, mels, voicing = tiny_batch(rng, model)
         before = model.weights_checksum()
         model.teacher_forced(audio, mels, nu=0.01, voicing=voicing)
-        model.generate(mels[0], np.random.default_rng(0), seconds=0.08)
+        model.generate(mels[0], np.random.default_rng(0), seconds=0.04)
         assert model.weights_checksum() == before
 
 
@@ -521,7 +521,7 @@ class TestForwardOnlyHoldsWeightsOnce:
         assert self.accumulators(model) == []
         model.zero_grads()
         model.teacher_forced(audio, mels, nu=0.01, voicing=voicing, compute_grads=False)
-        model.generate(mels[0], np.random.default_rng(0), seconds=0.08)
+        model.generate(mels[0], np.random.default_rng(0), seconds=0.04)
         path = tmp_path / "m.ckpt"
         model.save_checkpoint(path, b"\x07" * 8, step=1)
         model.load_checkpoint(path)

@@ -81,31 +81,28 @@ class TestVoicingMatchesPerFrameLoop:
         rng = np.random.default_rng(5)
         clips = np.stack([synthetic_clip(rng, sr, n) for _ in range(3)]
                          + [np.zeros(n), rng.normal(0.0, 3e-5, n)])  # silent, near-silent
-        batched = voicing_per_frame(clips, feat.window_length, feat.hop_length, sr)
+        batched = voicing_per_frame(clips, feat)
         assert batched.max() > 0.8 and np.all(batched[3:] == 0.0)
         for clip, scores in zip(clips, batched):
             frames = frame_signal(clip, feat.window_length, feat.hop_length)
             want = np.array([reference_voicing_score(f, sr) for f in frames])
             assert np.array_equal(scores, want)
-            assert np.array_equal(voicing_per_frame(clip, feat.window_length,
-                                                    feat.hop_length, sr), want)
+            assert np.array_equal(voicing_per_frame(clip, feat), want)
 
     @pytest.mark.parametrize("frames_per_call", [1, 7, 64])
     def test_frame_blocks_keep_every_score(self, monkeypatch, frames_per_call):
         # a row longer than a call is voiced in blocks of its frames; the
         # reflect-padded edge frames and the frames at block boundaries
-        # keep their bits, for one row, a stack and a list of clips
+        # keep their bits, for one row and for a stack of clips
         feat = toy_config().features
         sr, window, hop = feat.sample_rate, feat.window_length, feat.hop_length
         rng = np.random.default_rng(6)
         clip = synthetic_clip(rng, sr, 2 * sr + 37)
         want = voicing_score(frame_signal(clip, window, hop), sr)
         monkeypatch.setattr(trainer, "VOICING_CHUNK_SAMPLES", frames_per_call * hop)
-        assert np.array_equal(voicing_per_frame(clip, window, hop, sr), want)
+        assert np.array_equal(voicing_per_frame(clip, feat), want)
         pair = [want, voicing_score(frame_signal(clip[::-1], window, hop), sr)]
-        assert np.array_equal(voicing_per_frame(np.stack([clip, clip[::-1]]), window, hop, sr),
-                              pair)
-        assert np.array_equal(voicing_per_frame([clip, clip[::-1]], window, hop, sr), pair)
+        assert np.array_equal(voicing_per_frame(np.stack([clip, clip[::-1]]), feat), pair)
 
     def test_voicing_memory_does_not_grow_with_the_file(self, monkeypatch):
         feat = toy_config().features
@@ -114,7 +111,7 @@ class TestVoicingMatchesPerFrameLoop:
         clip = np.random.default_rng(7).normal(0.0, 0.1, 20 * sr)
         tracemalloc.start()
         try:
-            voicing_per_frame(clip, feat.window_length, feat.hop_length, sr)
+            voicing_per_frame(clip, feat)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -333,8 +330,7 @@ class TestDataset:
             n = int(round(cfg.train.clip_seconds * feat.sample_rate))
             monkeypatch.setattr(trainer, "VOICING_CHUNK_SAMPLES", clips_per_call * n)
         dataset = ClipDataset.synthetic(cfg, n_clips=6, n_noises=0)
-        per_clip = [voicing_per_frame(c, feat.window_length, feat.hop_length, feat.sample_rate)
-                    for c in dataset.clips]
+        per_clip = [voicing_per_frame(c, feat) for c in dataset.clips]
         assert np.array_equal(dataset.voicing, per_clip)
 
     def test_voicing_memory_does_not_grow_with_the_dataset(self, monkeypatch):
@@ -342,7 +338,7 @@ class TestDataset:
         n = int(round(cfg.train.clip_seconds * cfg.features.sample_rate))
         monkeypatch.setattr(trainer, "VOICING_CHUNK_SAMPLES", 2 * n)
         rng = np.random.default_rng(3)
-        clips = [rng.normal(0.0, 0.1, n) for _ in range(48)]
+        clips = rng.normal(0.0, 0.1, (48, n))  # the dataset's own form: not copied
         tracemalloc.start()
         try:
             ClipDataset(cfg, clips, [])
