@@ -18,11 +18,11 @@ from lvrc.trainer import synthetic_clip
 
 cfg = paper_config()
 rng = np.random.default_rng(0)
-sr = cfg.features.sample_rate
+sr = cfg.model.sample_rate
 
 print("== training features ==")
 train_frames = np.concatenate([
-    log_mel_features(AudioBuffer(synthetic_clip(rng, sr, 2 * sr), sr), cfg.features)
+    log_mel_features(AudioBuffer(synthetic_clip(rng, sr, 2 * sr), sr), cfg.model)
     for _ in range(20)
 ])
 print(f"{train_frames.shape[0]} frames of {train_frames.shape[1]} log mel bins")
@@ -38,7 +38,7 @@ print(f"total bits per supervector: {model.vq.bits_per_vector}")
 
 print("\n== encode 10 s, check the rate ==")
 audio = AudioBuffer(synthetic_clip(rng, sr, 10 * sr), sr)
-frames = log_mel_features(audio, cfg.features)
+frames = log_mel_features(audio, cfg.model)
 blob = q.encode(frames, model)
 n_super = len(q.stack_supervectors(frames, cfg.quantizer.stack))
 bits = q.payload_bits(n_super, model)

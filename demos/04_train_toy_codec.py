@@ -41,7 +41,7 @@ import numpy as np
 from lvrc.audio import AudioBuffer, save_wav
 from lvrc.trainer import tone_burst_train
 
-sr = cfg.features.sample_rate
+sr = cfg.model.sample_rate
 tone = tone_burst_train(np.random.default_rng(5), sr, 2 * sr, f0=220.0)
 save_wav(work / "tone.wav", AudioBuffer(tone, sr))
 assert cli.main([

@@ -49,14 +49,14 @@ for nu in (0.0, 0.01):
 print("\n== held-out comparison on voiced frames ==")
 cfg0 = runs[0.0][0]
 held_out = ClipDataset.synthetic(cfg0, n_clips=16, seed=777)
-sr = cfg0.features.sample_rate
+sr = cfg0.model.sample_rate
 stats = {}
 for nu, (cfg, result) in runs.items():
     model = CodecModel(cfg.model, seed=cfg.train.seed)
     model.load_checkpoint(result.checkpoint_path)
     sigmas, nlls = [], []
     for clip, voicing in zip(held_out.clips, held_out.voicing):
-        mels = log_mel_features(AudioBuffer(clip, sr), cfg.features)
+        mels = log_mel_features(AudioBuffer(clip, sr), cfg.model)
         st = model.teacher_forced(clip, mels, voicing=voicing[None], compute_grads=False)
         voiced = st["weights"][0] > 0.8  # each step's frame voicing
         if voiced.any():

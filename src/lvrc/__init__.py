@@ -9,7 +9,6 @@ variance regularizer.
 from .audio import AudioBuffer, load_wav, save_wav
 from .config import (
     CodecConfig,
-    FeatureConfig,
     ModelConfig,
     QuantizerConfig,
     TrainConfig,
@@ -32,7 +31,6 @@ __all__ = [
     "load_wav",
     "save_wav",
     "CodecConfig",
-    "FeatureConfig",
     "ModelConfig",
     "QuantizerConfig",
     "TrainConfig",

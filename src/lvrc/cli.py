@@ -17,29 +17,38 @@ import time
 import numpy as np
 
 from . import quantizer as q
-from .audio import AudioBuffer, load_wav, save_wav
+from .audio import AudioBuffer, save_wav
 from .config import load_config
 from .container import write_file_atomic
 from .errors import CodecError, ConfigError, FormatError
 from .features import log_mel_features
 from .filterbank import snr_db
 from .model import CodecModel
-from .trainer import ClipDataset, parse_manifest, train, voicing_per_frame
+from .trainer import ClipDataset, load_wav_at, parse_manifest, train, voicing_per_frame
+
+
+def _load_quantizer(path, cfg) -> q.QuantizerModel:
+    """The quantizer at `path`; FormatError unless its frames are the config's mels."""
+    model = q.QuantizerModel.load(path, expected_digest=cfg.digest())
+    frame_size = model.klt.mean.size // model.stack
+    if frame_size != cfg.model.n_mels:  # the digest binds the config, not the arrays
+        raise FormatError(f"quantizer codes {frame_size} mels, model takes {cfg.model.n_mels}")
+    return model
 
 
 def _collect_frames(cfg, manifest_path, synthetic_clips):
     """Training feature matrix for the quantizer fit."""
+    mc = cfg.model
     frames = []
     if manifest_path:
         for entry in parse_manifest(manifest_path):
             if entry.split != "train":
                 continue
-            frames.append(log_mel_features(load_wav(entry.clean_path), cfg.features))
+            frames.append(log_mel_features(load_wav_at(entry.clean_path, mc.sample_rate), mc))
     if synthetic_clips:
         dataset = ClipDataset.synthetic(cfg, n_clips=synthetic_clips, n_noises=0)
-        sr = cfg.features.sample_rate
         for clip in dataset.clips:
-            frames.append(log_mel_features(AudioBuffer(clip, sr), cfg.features))
+            frames.append(log_mel_features(AudioBuffer(clip, mc.sample_rate), mc))
     frames = [f for f in frames if len(f)]
     if not frames:
         raise ConfigError("no training features: pass --manifest and/or --synthetic")
@@ -66,9 +75,9 @@ def cmd_fit_quantizer(args) -> int:
 
 def cmd_encode(args) -> int:
     cfg = load_config(args.config)
-    model = q.QuantizerModel.load(args.quantizer, expected_digest=cfg.digest())
-    audio = load_wav(args.input)
-    frames = log_mel_features(audio, cfg.features)
+    model = _load_quantizer(args.quantizer, cfg)
+    audio = load_wav_at(args.input, cfg.model.sample_rate)
+    frames = log_mel_features(audio, cfg.model)
     blob = q.encode(frames, model)
     write_file_atomic(args.output, blob)
     n_super = len(q.stack_supervectors(frames, model.stack))
@@ -80,21 +89,18 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     cfg = load_config(args.config)
-    digest = cfg.digest()
-    qmodel = q.QuantizerModel.load(args.quantizer, expected_digest=digest)
+    qmodel = _load_quantizer(args.quantizer, cfg)
     with open(args.input, "rb") as fh:
         blob = fh.read()
     frames = q.decode(blob, qmodel)
-    if frames.shape[1] != cfg.model.n_mels:  # the digest binds the config, not the arrays
-        raise FormatError(f"quantizer gives {frames.shape[1]} mels, model takes {cfg.model.n_mels}")
     model = CodecModel(cfg.model, seed=cfg.train.seed)
-    model.load_checkpoint(args.model, expected_digest=digest)
+    model.load_checkpoint(args.model, expected_digest=cfg.digest())
     if len(frames) == 0:
-        save_wav(args.output, AudioBuffer(np.zeros(0), cfg.features.sample_rate))
+        save_wav(args.output, AudioBuffer(np.zeros(0), cfg.model.sample_rate))
         print(f"decoded 0 frames -> {args.output}")
         return 0
     rng = np.random.default_rng(args.seed)
-    seconds = len(frames) * cfg.features.hop_length / cfg.features.sample_rate
+    seconds = len(frames) * cfg.model.hop_length / cfg.model.sample_rate
     start = time.perf_counter()
     audio = model.generate(frames, rng, seconds=seconds)
     wall = time.perf_counter() - start
@@ -131,30 +137,27 @@ EVAL_HEADER = [
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    digest = cfg.digest()
     model = CodecModel(cfg.model, seed=cfg.train.seed)
-    model.load_checkpoint(args.model, expected_digest=digest)
-    qmodel = None
-    if args.quantizer:
-        qmodel = q.QuantizerModel.load(args.quantizer, expected_digest=digest)
+    model.load_checkpoint(args.model, expected_digest=cfg.digest())
+    qmodel = _load_quantizer(args.quantizer, cfg) if args.quantizer else None
 
     entries = parse_manifest(args.manifest)
     missing = []
-    feat = cfg.features
+    mc = cfg.model
     report = io.StringIO()  # written out whole at the end: a failed run leaves the old report
     writer = csv.writer(report)
     writer.writerow(EVAL_HEADER)
     for entry in entries:
         try:
-            audio = load_wav(entry.clean_path)
+            audio = load_wav_at(entry.clean_path, mc.sample_rate)
         except (OSError, FormatError) as exc:
             missing.append(f"{entry.clean_path}: {exc}")
             continue
-        frames = log_mel_features(audio, feat)
+        frames = log_mel_features(audio, mc)
         if len(frames) == 0:
             missing.append(f"{entry.clean_path}: too short")
             continue
-        voicing = voicing_per_frame(audio.samples, feat)
+        voicing = voicing_per_frame(audio.samples, mc)
         stats = model.teacher_forced(audio.samples, frames, voicing=voicing[None],
                                      compute_grads=False)
         sigma = stats["sigma_all"][0]  # (T, N)

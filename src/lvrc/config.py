@@ -1,4 +1,4 @@
-"""Codec configuration: feature, model, quantizer and training settings.
+"""Codec configuration: model (mel frontend included), quantizer and training settings.
 
 A complete configuration can be written to / read from a flat text file of
 ``section.key = value`` lines. The canonical digest of a configuration is
@@ -21,21 +21,24 @@ DIGEST_SIZE = 8
 # frames per second, for the features, the voicing and the model alike.
 WINDOW_MS, HOP_MS = 80, 20
 FRAME_RATE = 1000 // HOP_MS
-
-
-def hop_samples(sample_rate: int) -> int:
-    """Samples per hop; sample_rate // FRAME_RATE at every rate the model accepts."""
-    return round(sample_rate * HOP_MS / 1000)
+MEL_FMIN = 0.0  # Hz, the lowest mel filter's lower edge
 
 
 @dataclass
-class FeatureConfig:
-    """Log mel analysis settings."""
+class ModelConfig:
+    """Log mel frontend, conditioning stack and WaveGRU: one sample rate and mel count."""
 
-    sample_rate: int = 16000
+    n_bands: int = 4
+    n_mix: int = 8
+    gru_state: int = 1024
+    cond_channels: int = 512
     n_mels: int = 160
-    mel_fmin: float = 0.0
+    sample_rate: int = 16000
     mel_fmax: float = 0.0  # 0 -> sample_rate / 2
+    gru_blocks: int = 1  # >1 switches the six gate matrices to block-diagonal
+    fb_taps: int = 192
+    # not a key: perfbench's worker reads it until it sizes the GRU step by the decode dtype
+    dtype: ClassVar[str] = "float64"
 
     @property
     def window_length(self) -> int:
@@ -43,7 +46,8 @@ class FeatureConfig:
 
     @property
     def hop_length(self) -> int:
-        return hop_samples(self.sample_rate)
+        """Samples per hop; sample_rate // FRAME_RATE at every rate `validate` accepts."""
+        return round(self.sample_rate * HOP_MS / 1000)
 
     @property
     def fft_size(self) -> int:
@@ -55,29 +59,6 @@ class FeatureConfig:
 
     def resolved_fmax(self) -> float:
         return self.mel_fmax or self.sample_rate / 2.0
-
-    def validate(self) -> None:
-        if self.n_mels >= self.fft_size // 2:
-            raise ConfigError("n_mels must be < fft_size/2")
-        # an empty or out-of-band mel range leaves filters at the log floor on every input
-        if not 0 <= self.mel_fmin < self.resolved_fmax() <= self.sample_rate / 2.0:
-            raise ConfigError("mel band must satisfy 0 <= mel_fmin < mel_fmax <= sample_rate/2")
-
-
-@dataclass
-class ModelConfig:
-    """Conditioning stack and WaveGRU dimensions."""
-
-    n_bands: int = 4
-    n_mix: int = 8
-    gru_state: int = 1024
-    cond_channels: int = 512
-    n_mels: int = 160
-    sample_rate: int = 16000
-    gru_blocks: int = 1  # >1 switches the six gate matrices to block-diagonal
-    fb_taps: int = 192
-    # not a key: perfbench's worker reads it until it sizes the GRU step by the decode dtype
-    dtype: ClassVar[str] = "float64"
 
     @property
     def band_rate(self) -> int:
@@ -102,6 +83,11 @@ class ModelConfig:
             raise ConfigError(f"band rate must be an integer multiple of {FRAME_RATE * 8} Hz")
         if self.gru_state % self.gru_blocks != 0:
             raise ConfigError("gru_state must be divisible by gru_blocks")
+        if self.n_mels >= self.fft_size // 2:
+            raise ConfigError("n_mels must be < fft_size/2")
+        # an empty or out-of-band mel range leaves filters at the log floor on every input
+        if not MEL_FMIN < self.resolved_fmax() <= self.sample_rate / 2.0:
+            raise ConfigError(f"mel band must satisfy {MEL_FMIN:g} < mel_fmax <= sample_rate/2")
 
 
 @dataclass
@@ -175,7 +161,6 @@ class TrainConfig:
 
 
 _SECTIONS = {
-    "features": FeatureConfig,
     "model": ModelConfig,
     "quantizer": QuantizerConfig,
     "train": TrainConfig,
@@ -186,27 +171,35 @@ _SECTIONS = {
 class CodecConfig:
     """Bundle of all configuration sections."""
 
-    features: FeatureConfig = field(default_factory=FeatureConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     quantizer: QuantizerConfig = field(default_factory=QuantizerConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
 
+    @property
+    def features(self) -> ModelConfig:
+        """Read-only alias of `model`, not a key: perfbench/workloads.py reads
+        `cfg.features.sample_rate` and `.hop_length` and passes it to `log_mel_features`."""
+        return self.model
+
+    @property
+    def clip_samples(self) -> int:
+        """Samples in one training clip, before `ClipDataset` cuts it to whole band steps."""
+        return int(round(self.train.clip_seconds * self.model.sample_rate))
+
     def validate(self) -> None:
-        self.features.validate()
         self.model.validate()
         self.quantizer.validate()
         self.train.validate()
-        if self.features.sample_rate != self.model.sample_rate:
-            raise ConfigError("feature and model sample rates differ")
-        if self.features.n_mels != self.model.n_mels:
-            raise ConfigError("feature and model mel counts differ")
         q = self.quantizer
-        n_splits = math.ceil(self.features.n_mels * q.stack / q.split_dim)
+        n_splits = math.ceil(self.model.n_mels * q.stack / q.split_dim)
         if q.bits_per_supervector > n_splits * q.max_bits_per_split:
             raise ConfigError("quantizer.bits_per_supervector exceeds "
                               "n_splits * max_bits_per_split")
         if not 1 <= self.train.reg_bands <= self.model.n_bands:
             raise ConfigError("train.reg_bands must be in 1..model.n_bands")
+        if self.clip_samples - self.clip_samples % self.model.n_bands < self.model.window_length:
+            # a clip with no mel frame passes the config and fails in the first batch
+            raise ConfigError(f"train.clip_seconds must span one {WINDOW_MS} ms mel window")
 
     def items(self) -> list[tuple[str, object]]:
         out = []
@@ -219,9 +212,9 @@ class CodecConfig:
     def digest(self) -> bytes:
         """8-byte canonical digest, invariant to key order in the file.
 
-        Covers the sections that determine artifact compatibility
-        (features, model, quantizer); training-loop settings may differ
-        between a checkpoint's producer and consumer.
+        Covers the sections that determine artifact compatibility (model,
+        which holds the mel frontend, and quantizer); training-loop settings
+        may differ between a checkpoint's producer and consumer.
         """
         lines = sorted(
             f"{k}={_canon(v)}" for k, v in self.items() if not k.startswith("train.")
@@ -325,9 +318,6 @@ def paper_config() -> CodecConfig:
 def toy_config() -> CodecConfig:
     """Desk-scale configuration that trains in minutes on a CPU."""
     cfg = CodecConfig(
-        # mels concentrated below 2 kHz so the toy tone's harmonics are
-        # several bins apart and survive quantization
-        features=FeatureConfig(sample_rate=8000, n_mels=32, mel_fmax=2000.0),
         model=ModelConfig(
             n_bands=4,
             n_mix=4,
@@ -335,6 +325,7 @@ def toy_config() -> CodecConfig:
             cond_channels=32,
             n_mels=32,
             sample_rate=8000,
+            mel_fmax=2000.0,  # mels below 2 kHz keep the toy tone's harmonics bins apart
             fb_taps=96,
         ),
         quantizer=QuantizerConfig(stack=2, bits_per_supervector=40, max_bits_per_split=6),

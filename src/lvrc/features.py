@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio import AudioBuffer
-from .config import FeatureConfig
+from .config import MEL_FMIN, ModelConfig
 from .errors import ConfigError
 
 LOG_FLOOR = 1e-10  # mel energies are floored here before the log
@@ -28,22 +28,20 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
+def mel_filterbank(cfg: ModelConfig) -> np.ndarray:
     """Triangular mel filters, shape (n_mels, fft_size//2 + 1).
 
     Designed once per distinct setting and shared: the array is read-only.
     """
-    return _mel_filterbank(cfg.sample_rate, cfg.fft_size, cfg.mel_fmin,
-                           cfg.resolved_fmax(), cfg.n_mels)
+    return _mel_filterbank(cfg.sample_rate, cfg.fft_size, cfg.resolved_fmax(), cfg.n_mels)
 
 
 @lru_cache(maxsize=16)
-def _mel_filterbank(sample_rate: int, n_fft: int, fmin: float, fmax: float,
-                    n_mels: int) -> np.ndarray:
+def _mel_filterbank(sample_rate: int, n_fft: int, fmax: float, n_mels: int) -> np.ndarray:
     n_freqs = n_fft // 2 + 1
     freqs = np.linspace(0.0, sample_rate / 2.0, n_freqs)
 
-    mel_pts = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
+    mel_pts = np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(fmax), n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
 
     fb = np.zeros((n_mels, n_freqs))
@@ -59,9 +57,9 @@ def _mel_filterbank(sample_rate: int, n_fft: int, fmin: float, fmax: float,
     return fb
 
 
-def filter_center_frequencies(cfg: FeatureConfig) -> np.ndarray:
+def filter_center_frequencies(cfg: ModelConfig) -> np.ndarray:
     """Center frequency (Hz) of each triangular filter."""
-    mel_pts = np.linspace(hz_to_mel(cfg.mel_fmin), hz_to_mel(cfg.resolved_fmax()), cfg.n_mels + 2)
+    mel_pts = np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(cfg.resolved_fmax()), cfg.n_mels + 2)
     return mel_to_hz(mel_pts[1:-1])
 
 
@@ -96,7 +94,7 @@ def _analysis_window(length: int) -> np.ndarray:
     return win
 
 
-def log_mel_features(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
+def log_mel_features(audio: AudioBuffer, cfg: ModelConfig) -> np.ndarray:
     """Log mel spectra, shape (n_frames, n_mels), natural log of floored energies."""
     if audio.sample_rate != cfg.sample_rate:
         raise ConfigError(

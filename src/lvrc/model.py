@@ -28,7 +28,7 @@ import numpy as np
 
 from . import mol
 from .audio import AudioBuffer
-from .config import ModelConfig, hop_samples
+from .config import ModelConfig
 from .container import entry, read_container, write_container
 from .errors import ConfigError, FormatError, NumericError
 from .filterbank import Filterbank
@@ -124,7 +124,7 @@ class CodecModel:
         self.out_w = Parameter("out.w", init_weight(rng, (n * k * 3, h), h, n * k * 3))
         self.out_b = Parameter("out.b", np.zeros(n * k * 3))
         self.filterbank = Filterbank(n, cfg.fb_taps)
-        self.hop = hop_samples(cfg.sample_rate)
+        self.hop = cfg.hop_length
 
     # -- parameter plumbing -------------------------------------------------
 

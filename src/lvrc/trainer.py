@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer, load_wav
-from .config import CodecConfig, FeatureConfig, TrainConfig, read_text
+from .config import CodecConfig, ModelConfig, TrainConfig, read_text
 from .container import entry
 from .errors import ConfigError, NumericError
 from .features import frame_count, frame_signal, log_mel_features
@@ -30,6 +30,14 @@ METRICS_HEADER = ["step", "nll", "jvar", "sigma_mean", "sparsity"]
 # Signal samples whose frames `voicing_per_frame` scores per call (voicing
 # holds ~9x those samples: ~18 MiB).
 VOICING_CHUNK_SAMPLES = 1 << 18
+
+
+def load_wav_at(path, sample_rate: int) -> AudioBuffer:
+    """The WAV at `path`; ConfigError naming the file if it is not at `sample_rate`."""
+    buf = load_wav(path)
+    if buf.sample_rate != sample_rate:
+        raise ConfigError(f"{path}: rate {buf.sample_rate} != configured rate {sample_rate}")
+    return buf
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +71,7 @@ def voicing_score(frames: np.ndarray, sample_rate: int) -> np.ndarray:
     return np.clip(best, 0.0, 1.0).reshape(frames.shape[:-1])
 
 
-def voicing_per_frame(samples: np.ndarray, feat: FeatureConfig) -> np.ndarray:
+def voicing_per_frame(samples: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Voicing of each mel-frontend frame of samples (..., L), shape (..., n_frames).
 
     Each call scores about `VOICING_CHUNK_SAMPLES` samples' worth of frames:
@@ -71,7 +79,7 @@ def voicing_per_frame(samples: np.ndarray, feat: FeatureConfig) -> np.ndarray:
     row is longer, so neither a long signal nor a pool of clips is ever
     framed whole.
     """
-    window, hop, sr = feat.window_length, feat.hop_length, feat.sample_rate
+    window, hop, sr = cfg.window_length, cfg.hop_length, cfg.sample_rate
     samples = np.asarray(samples, dtype=np.float64)
     lead, length = samples.shape[:-1], samples.shape[-1]
     rows = samples.reshape(math.prod(lead), length)
@@ -241,15 +249,14 @@ class ClipDataset:
         self.clips = clips[:, :n]
         self.noises = [np.asarray(x, dtype=np.float64) for x in noises]
         self.clip_len = n
-        self.voicing = voicing_per_frame(self.clips, cfg.features)
+        self.voicing = voicing_per_frame(self.clips, cfg.model)
 
     @classmethod
     def synthetic(cls, cfg: CodecConfig, n_clips: int = 48, n_noises: int = 12,
                   seed: int | None = None) -> "ClipDataset":
         seed = cfg.train.seed if seed is None else seed
         rng = np.random.default_rng([seed, 0xDA7A])
-        sr = cfg.features.sample_rate
-        n = int(round(cfg.train.clip_seconds * sr))
+        sr, n = cfg.model.sample_rate, cfg.clip_samples
         clips = [synthetic_clip(rng, sr, n) for _ in range(n_clips)]
         noises = [noise_burst(rng, n) for _ in range(n_noises)]
         return cls(cfg, clips, noises)
@@ -257,26 +264,20 @@ class ClipDataset:
     @classmethod
     def from_manifest(cls, cfg: CodecConfig, entries) -> "ClipDataset":
         clips, noises = [], []
-        sr = cfg.features.sample_rate
-        n = int(round(cfg.train.clip_seconds * sr))
+        sr, n = cfg.model.sample_rate, cfg.clip_samples
         for entry in entries:
             if entry.split != "train":
                 continue
-            buf = load_wav(entry.clean_path)
-            if buf.sample_rate != sr:
-                raise ConfigError(f"{entry.clean_path}: rate {buf.sample_rate} != {sr}")
-            samples = buf.samples
+            samples = load_wav_at(entry.clean_path, sr).samples
             if len(samples) < n:
                 samples = np.pad(samples, (0, n - len(samples)))
             for lo in range(0, len(samples) - n + 1, n):
                 clips.append(samples[lo : lo + n])
             if entry.noise_path:
-                nbuf = load_wav(entry.noise_path)
-                if nbuf.sample_rate != sr:
-                    raise ConfigError(f"{entry.noise_path}: rate {nbuf.sample_rate} != {sr}")
-                if len(nbuf.samples) == 0:
+                noise = load_wav_at(entry.noise_path, sr).samples
+                if len(noise) == 0:
                     raise ConfigError(f"{entry.noise_path}: noise file has no samples")
-                noises.append(nbuf.samples)
+                noises.append(noise)
         return cls(cfg, clips, noises)
 
     def batch(self, step: int):
@@ -284,7 +285,7 @@ class ClipDataset:
         tc = self.cfg.train
         rng = np.random.default_rng([tc.seed, 0xBA7C4, step])
         idx = rng.integers(0, len(self.clips), size=tc.batch_size)
-        sr = self.cfg.features.sample_rate
+        sr = self.cfg.model.sample_rate
         audio = np.empty((tc.batch_size, self.clip_len))
         for row, i in enumerate(idx):
             clean = AudioBuffer(self.clips[i], sr)
@@ -296,7 +297,7 @@ class ClipDataset:
                 mixed = clean
             audio[row] = mixed.samples
         mels = np.stack([
-            log_mel_features(AudioBuffer(a, sr), self.cfg.features) for a in audio
+            log_mel_features(AudioBuffer(a, sr), self.cfg.model) for a in audio
         ])
         return audio, mels, self.voicing[idx]
 

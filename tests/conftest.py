@@ -92,7 +92,7 @@ def paper_quantizer():
     rng = np.random.default_rng(0)
     frames = np.concatenate([
         log_mel_features(AudioBuffer(synthetic_clip(rng, 16000, 32000), 16000),
-                         cfg.features)
+                         cfg.model)
         for _ in range(20)
     ])
     model = fit_quantizer(frames, cfg.quantizer, cfg.digest())
@@ -103,9 +103,9 @@ def paper_quantizer():
 def toy_quantizer(toy_cfg):
     """Quantizer fitted on the synthetic toy corpus."""
     dataset = ClipDataset.synthetic(toy_cfg, n_clips=48, n_noises=0)
-    sr = toy_cfg.features.sample_rate
+    sr = toy_cfg.model.sample_rate
     frames = np.concatenate([
-        log_mel_features(AudioBuffer(clip, sr), toy_cfg.features)
+        log_mel_features(AudioBuffer(clip, sr), toy_cfg.model)
         for clip in dataset.clips
     ])
     return fit_quantizer(frames, toy_cfg.quantizer, toy_cfg.digest()), frames

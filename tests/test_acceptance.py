@@ -159,7 +159,7 @@ def test_criterion_03_bitrate_arithmetic(paper_quantizer):
     for make in (lambda: rng.uniform(-0.9, 0.9, 160000),
                  lambda: synthetic_clip(rng, 16000, 160000),
                  lambda: np.zeros(160000)):
-        frames = log_mel_features(AudioBuffer(make(), 16000), cfg.features)
+        frames = log_mel_features(AudioBuffer(make(), 16000), cfg.model)
         blob = q.encode(frames, model)
         n_super = len(q.stack_supervectors(frames, model.stack))
         payload_bits = n_super * model.vq.bits_per_vector
@@ -266,8 +266,8 @@ def test_criterion_07_klt_decorrelation():
 def test_criterion_08_variance_regularization_mechanism(paired_runs, eval_clips):
     """nu=0.01 (log form) cuts voiced-frame sigma_q >= 20% at < 0.5 nats cost."""
     stats = {}
-    sr = paired_runs[0.0]["cfg"].features.sample_rate
-    feat = paired_runs[0.0]["cfg"].features
+    sr = paired_runs[0.0]["cfg"].model.sample_rate
+    feat = paired_runs[0.0]["cfg"].model
     for nu, entry in paired_runs.items():
         model = load_model(entry)
         sigmas, nlls = [], []
@@ -299,7 +299,7 @@ def test_criterion_08b_eval_report_shows_the_same_gap(paired_runs, eval_clips,
     import csv
 
     cfg = paired_runs[0.0]["cfg"]
-    sr = cfg.features.sample_rate
+    sr = cfg.model.sample_rate
     names = []
     for i, clip in enumerate(eval_clips.clips[:4]):
         wav = tmp_path / f"utt{i}.wav"
@@ -337,7 +337,7 @@ def test_criterion_09_end_to_end_smoke(paired_runs, toy_quantizer, tmp_path):
     charge, and decoding is bit-reproducible under a fixed seed."""
     entry = paired_runs[0.01]
     cfg = entry["cfg"]
-    sr = cfg.features.sample_rate
+    sr = cfg.model.sample_rate
     qmodel, _ = toy_quantizer
     quant_path = tmp_path / "toy.lvrq"
     qmodel.save(quant_path)

@@ -45,7 +45,7 @@ def env(tmp_path_factory):
     ])
     assert rc == 0
 
-    sr = cfg.features.sample_rate
+    sr = cfg.model.sample_rate
     rng = np.random.default_rng(123)
     wav = root / "tone.wav"
     save_wav(wav, AudioBuffer(synthetic_clip(rng, sr, sr * 2), sr))
@@ -99,7 +99,7 @@ class TestEncode:
 
     def test_empty_wav_header_only(self, env):
         empty_wav = env["root"] / "empty.wav"
-        save_wav(empty_wav, AudioBuffer(np.zeros(0), env["cfg"].features.sample_rate))
+        save_wav(empty_wav, AudioBuffer(np.zeros(0), env["cfg"].model.sample_rate))
         out = env["root"] / "empty.lvrc"
         rc = cli.main([
             "encode", "--config", str(env["cfg_path"]), "--quantizer", str(env["quant"]),
@@ -161,9 +161,9 @@ class TestDecode:
         assert rc == 0
         decoded = load_wav(out)
         cfg = env["cfg"]
-        source_frames = 2 * cfg.features.sample_rate // cfg.features.hop_length + 1
+        source_frames = 2 * cfg.model.sample_rate // cfg.model.hop_length + 1
         coded_frames = (source_frames // cfg.quantizer.stack) * cfg.quantizer.stack
-        assert len(decoded) == coded_frames * cfg.features.hop_length
+        assert len(decoded) == coded_frames * cfg.model.hop_length
 
     def test_summary_reports_decode_time_and_rtf(self, env, bitstream, capsys):
         out = env["root"] / "timed.wav"
@@ -178,7 +178,7 @@ class TestDecode:
         assert match, line
         frames, seconds, wall, rtf, path = match.groups()
         assert float(seconds) == pytest.approx(
-            int(frames) * env["cfg"].features.hop_length / env["cfg"].features.sample_rate)
+            int(frames) * env["cfg"].model.hop_length / env["cfg"].model.sample_rate)
         assert float(wall) > 0.0 and path == str(out)
         assert float(rtf) == pytest.approx(float(wall) / float(seconds), abs=2e-3)
 
@@ -194,7 +194,7 @@ class TestDecode:
 
     def test_decode_never_reads_source_wav(self, env, tmp_path):
         # black-box contract: the wav is deleted before decoding its bitstream
-        sr = env["cfg"].features.sample_rate
+        sr = env["cfg"].model.sample_rate
         wav = tmp_path / "gone.wav"
         save_wav(wav, AudioBuffer(synthetic_clip(np.random.default_rng(5), sr, sr), sr))
         stream = tmp_path / "gone.lvrc"
@@ -219,22 +219,31 @@ class TestDecode:
         ])
         assert rc == 3
 
-    def test_quantizer_of_another_frame_size_exits_3(self, env, bitstream, tmp_path):
-        # stack 4 on the 64-dim basis: consistent in itself, but it decodes 16-mel frames
+    @pytest.mark.parametrize("command", ["encode", "decode", "eval"])
+    def test_quantizer_of_another_frame_size_exits_3(self, env, bitstream, tmp_path, capsys,
+                                                     command):
+        # stack 4 on the 64-dim basis: consistent in itself, but it codes 16-mel frames
         qmodel = q.QuantizerModel.load(env["quant"])
         qmodel.stack = 4
         bad = tmp_path / "stack4.lvrq"
         qmodel.save(bad)
-        rc = cli.main([
-            "decode", "--config", str(env["cfg_path"]), "--quantizer", str(bad),
-            "--model", str(env["ckpt"]), str(bitstream), str(tmp_path / "x.wav"),
-        ])
+        manifest = tmp_path / "eval.tsv"
+        manifest.write_text(f"{env['wav']}\t-\tdev\n")
+        rest = {
+            "encode": [str(env["wav"]), str(tmp_path / "x.lvrc")],
+            "decode": ["--model", str(env["ckpt"]), str(bitstream), str(tmp_path / "x.wav")],
+            "eval": ["--model", str(env["ckpt"]), "--manifest", str(manifest),
+                     str(tmp_path / "report.csv")],
+        }[command]
+        rc = cli.main([command, "--config", str(env["cfg_path"]), "--quantizer", str(bad),
+                       *rest])
         assert rc == 3
+        assert "quantizer codes 16 mels, model takes 32" in capsys.readouterr().err
 
 
 class TestEval:
     def test_report_schema_and_rows(self, env, tmp_path):
-        sr = env["cfg"].features.sample_rate
+        sr = env["cfg"].model.sample_rate
         rng = np.random.default_rng(9)
         names = []
         for i in range(3):
@@ -271,7 +280,7 @@ class TestEval:
         assert len(list(csv.DictReader(open(report)))) == 0
 
     def test_unvoiced_clip_reports_nan_without_a_warning(self, env, tmp_path):
-        sr = env["cfg"].features.sample_rate
+        sr = env["cfg"].model.sample_rate
         wav = tmp_path / "silence.wav"
         save_wav(wav, AudioBuffer(np.zeros(sr), sr))
         manifest = tmp_path / "eval.tsv"
@@ -284,9 +293,9 @@ class TestEval:
         (row,) = csv.DictReader(open(report))
         assert row["sigma_voiced_mean"] == row["sigma_voiced_p90"] == "nan"
 
-    def test_failed_run_leaves_the_earlier_report(self, env, tmp_path):
+    def test_failed_run_leaves_the_earlier_report(self, env, tmp_path, capsys):
         # a 16 kHz WAV under the 8 kHz toy config exits 2 part way through
-        sr = env["cfg"].features.sample_rate
+        sr = env["cfg"].model.sample_rate
         good, wrong = tmp_path / "good.wav", tmp_path / "wide.wav"
         save_wav(good, AudioBuffer(synthetic_clip(np.random.default_rng(10), sr, sr), sr))
         save_wav(wrong, AudioBuffer(np.zeros(2 * sr), 2 * sr))
@@ -297,6 +306,7 @@ class TestEval:
         rc = cli.main(["eval", "--config", str(env["cfg_path"]), "--model", str(env["ckpt"]),
                        "--manifest", str(manifest), str(report)])
         assert rc == 2
+        assert f"{wrong}: rate 16000 != configured rate 8000" in capsys.readouterr().err
         assert report.read_text() == "an earlier report\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "eval.tsv", "good.wav", "report.csv", "wide.wav"]
@@ -311,7 +321,7 @@ class TestTrain:
         cfg.train.checkpoint_interval = 4
         cfg_path = tmp_path / "toy.cfg"
         cfg.save(cfg_path)
-        n = int(round(cfg.train.clip_seconds * cfg.features.sample_rate))
+        n = cfg.clip_samples
         good = lvrc.trainer.ClipDataset.synthetic(cfg, n_clips=4, n_noises=0)
         nan_clips = classmethod(lambda cls, cfg: cls(cfg, [np.full(n, np.nan)], []))
         monkeypatch.setattr(lvrc.trainer.ClipDataset, "synthetic", nan_clips)
@@ -370,7 +380,7 @@ class TestTrain:
         assert "optimizer state shape mismatch for out.b" in capsys.readouterr().err
 
     def test_empty_noise_file_exits_2_without_traceback(self, env, tmp_path):
-        sr = env["cfg"].features.sample_rate
+        sr = env["cfg"].model.sample_rate
         clean, noise = tmp_path / "clean.wav", tmp_path / "noise.wav"
         save_wav(clean, AudioBuffer(synthetic_clip(np.random.default_rng(4), sr, sr), sr))
         save_wav(noise, AudioBuffer(np.zeros(0), sr))

@@ -13,7 +13,10 @@ def test_text_round_trip():
     parsed = parse_config(cfg.to_text())
     assert parsed.digest() == cfg.digest()
     assert parsed.model.gru_state == cfg.model.gru_state
-    assert parsed.features.mel_fmax == cfg.features.mel_fmax
+    assert parsed.model.mel_fmax == cfg.model.mel_fmax
+    # the mel frontend lives in the model section; `features` is only a read-only alias
+    assert parsed.features is parsed.model
+    assert not any(key.startswith("features.") for key, _ in parsed.items())
 
 
 def test_unknown_key_rejected():
@@ -35,9 +38,14 @@ def test_unknown_key_rejected():
     "features.window_ms = 80.0",  # one frame grid: config.WINDOW_MS, HOP_MS, FRAME_RATE
     "features.hop_ms = 20.0",
     "model.frame_rate = 50",
+    "features.mel_fmin = 0.0",  # config.MEL_FMIN
+    # the features section folded into model: one sample rate, one mel count
+    "features.sample_rate = 16000",
+    "features.n_mels = 160",
+    "features.mel_fmax = 0.0",  # now model.mel_fmax
 ])
 def test_constant_keys_rejected(line):
-    # module constants, not keys: a file that names one predates the 35-key set
+    # module constants or folded keys: a file that names one predates the 32-key set
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(line + "\n")
 
@@ -75,8 +83,11 @@ def test_bad_values_rejected():
                 "train.lr = -0.001",
                 "model.fb_taps = 100",  # not a multiple of 2 * n_bands
                 "model.n_bands = 1\ntrain.reg_bands = 1",
-                "features.mel_fmax = -5",
-                "features.mel_fmax = 9000",  # above the 8 kHz Nyquist
+                "model.mel_fmax = -5",
+                "model.mel_fmax = 9000",  # above the 8 kHz Nyquist
+                # no mel frame in a training clip: 2 and 1264 samples, under the 1280 window
+                "train.clip_seconds = 0.0001",
+                "train.clip_seconds = 0.079",
                 "quantizer.bits_per_supervector = 1281",  # 160 splits of <= 8 bits
                 "quantizer.bits_per_supervector = 0",  # no payload bounds the header's count
                 "quantizer.seed = -5",  # np.random.default_rng takes no negative seed
@@ -86,12 +97,10 @@ def test_bad_values_rejected():
                 "train.nu = 0.01\ntrain.nu = 0.01"):  # a key set twice, even to one value
         with pytest.raises(ConfigError):
             parse_config(bad + "\n")
-    for key, value in (("mel_fmax", 6000.0), ("mel_fmin", 3000.0), ("mel_fmin", -1.0),
-                       ("mel_fmin", 2000.0)):  # the toy preset: 8 kHz, mel_fmax 2000
-        cfg = toy_config()
-        setattr(cfg.features, key, value)
-        with pytest.raises(ConfigError, match="mel band"):
-            cfg.validate()
+    cfg = toy_config()
+    cfg.model.mel_fmax = 6000.0  # above the toy preset's 4 kHz Nyquist
+    with pytest.raises(ConfigError, match="mel band"):
+        cfg.validate()
 
 
 @pytest.mark.parametrize("lines", [
@@ -114,7 +123,7 @@ def test_non_positive_sizes_rejected(lines):
 def test_tile_factor_consistency_checked():
     cfg = toy_config()
     # 8800 / 4 bands = 2200 Hz: 8 x the 50 Hz frame rate no longer divides the band rate
-    cfg.features.sample_rate = cfg.model.sample_rate = 8800
+    cfg.model.sample_rate = 8800
     with pytest.raises(ConfigError, match="band rate"):
         cfg.validate()
 
@@ -126,10 +135,10 @@ def test_comments_and_blank_lines_ignored():
 
 def test_paper_preset_headline_numbers():
     cfg = paper_config()
-    assert cfg.features.sample_rate == 16000
-    assert cfg.features.n_mels == 160
-    assert cfg.features.hop_length == 320  # 20 ms
-    assert cfg.features.window_length == 1280  # 80 ms
+    assert cfg.model.sample_rate == 16000
+    assert cfg.model.n_mels == 160
+    assert cfg.model.hop_length == 320  # 20 ms
+    assert cfg.model.window_length == 1280  # 80 ms
     assert cfg.model.n_bands == 4
     assert cfg.model.n_mix == 8
     assert cfg.model.gru_state == 1024

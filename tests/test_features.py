@@ -5,7 +5,7 @@ import pytest
 from scipy.signal.windows import hann
 
 from lvrc.audio import AudioBuffer
-from lvrc.config import FeatureConfig, paper_config, toy_config
+from lvrc.config import ModelConfig, paper_config, toy_config
 from lvrc.errors import ConfigError
 from lvrc.features import (
     LOG_FLOOR,
@@ -17,7 +17,7 @@ from lvrc.features import (
     mel_filterbank,
 )
 
-PAPER = FeatureConfig()  # 16 kHz, 80 ms window, 20 ms hop, 160 mels
+PAPER = ModelConfig()  # 16 kHz, 80 ms window, 20 ms hop, 160 mels
 
 
 def test_silence_hits_log_floor():
@@ -89,7 +89,7 @@ def test_rate_mismatch_rejected():
 
 def test_fft_size_is_next_power_of_two_over_window():
     assert (PAPER.window_length, PAPER.fft_size) == (1280, 2048)
-    toy = toy_config().features
+    toy = toy_config().model
     assert (toy.window_length, toy.fft_size) == (640, 1024)
 
 
@@ -118,7 +118,7 @@ def test_batched_framing_is_row_by_row(length):
     assert np.array_equal(frames, rows)
 
 
-@pytest.mark.parametrize("length", [toy_config().features.window_length,
-                                    paper_config().features.window_length, 2, 401])
+@pytest.mark.parametrize("length", [toy_config().model.window_length,
+                                    paper_config().model.window_length, 2, 401])
 def test_analysis_window_is_scipy_periodic_hann(length):
     assert np.array_equal(_analysis_window(length), hann(length, sym=False))

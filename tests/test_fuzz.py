@@ -77,7 +77,7 @@ def artifacts(tmp_path_factory):
     (root / "run" / "model.ckpt").rename(paths["ckpt"])
     assert cli.main(["fit-quantizer", "--config", paths["cfg"], "--synthetic", "24",
                      "--out", paths["lvrq"]]) == 0
-    sr = cfg.features.sample_rate
+    sr = cfg.model.sample_rate
     save_wav(paths["wav"], AudioBuffer(synthetic_clip(np.random.default_rng(3), sr, sr // 4), sr))
     assert cli.main(["encode", "--config", paths["cfg"], "--quantizer", paths["lvrq"],
                      paths["wav"], paths["lvrc"]]) == 0

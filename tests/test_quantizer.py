@@ -5,7 +5,7 @@ import pytest
 
 from lvrc import quantizer as q
 from lvrc.audio import AudioBuffer
-from lvrc.config import FeatureConfig, QuantizerConfig, paper_config
+from lvrc.config import ModelConfig, QuantizerConfig, paper_config
 from lvrc.container import read_container, write_container
 from lvrc.errors import ConfigError, DigestError, FormatError, FramingError
 from lvrc.features import log_mel_features
@@ -239,7 +239,7 @@ class TestPacking:
 
 
 def toy_feature_frames(seconds=12.0, seed=0):
-    cfg = FeatureConfig(sample_rate=8000, n_mels=16)
+    cfg = ModelConfig(sample_rate=8000, n_mels=16)
     rng = np.random.default_rng(seed)
     t = np.arange(int(seconds * 8000)) / 8000.0
     f0 = 150 + 100 * (1 + np.sin(2 * np.pi * 0.13 * t)) / 2
@@ -369,7 +369,7 @@ class TestEncodeDecode:
 
     def test_distortion_decreases_with_bits(self):
         # 32-mel features, stacked pairs: 64-dim supervectors, 32 splits
-        cfg = FeatureConfig(sample_rate=8000, n_mels=32)
+        cfg = ModelConfig(sample_rate=8000, n_mels=32)
         rng = np.random.default_rng(3)
         t = np.arange(48 * 8000) / 8000.0
         f0 = 170 + 90 * (1 + np.sin(2 * np.pi * 0.11 * t)) / 2
@@ -391,7 +391,7 @@ class TestPaperBitrate:
         cfg = paper_config()
         rng = np.random.default_rng(12)
         audio = AudioBuffer(rng.uniform(-0.5, 0.5, 16000), 16000)
-        frames = log_mel_features(audio, cfg.features)
+        frames = log_mel_features(audio, cfg.model)
         n_super = len(q.stack_supervectors(frames, cfg.quantizer.stack))
         assert n_super == 25
         assert n_super * cfg.quantizer.bits_per_supervector == 3000

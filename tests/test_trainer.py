@@ -76,7 +76,7 @@ def reference_voicing_score(frame, sample_rate):
 class TestVoicingMatchesPerFrameLoop:
     @pytest.mark.parametrize("preset", [toy_config, paper_config], ids=["toy", "paper"])
     def test_clips_alone_and_batched(self, preset):
-        feat = preset().features
+        feat = preset().model
         sr, n = feat.sample_rate, feat.sample_rate // 2
         rng = np.random.default_rng(5)
         clips = np.stack([synthetic_clip(rng, sr, n) for _ in range(3)]
@@ -94,7 +94,7 @@ class TestVoicingMatchesPerFrameLoop:
         # a row longer than a call is voiced in blocks of its frames; the
         # reflect-padded edge frames and the frames at block boundaries
         # keep their bits, for one row and for a stack of clips
-        feat = toy_config().features
+        feat = toy_config().model
         sr, window, hop = feat.sample_rate, feat.window_length, feat.hop_length
         rng = np.random.default_rng(6)
         clip = synthetic_clip(rng, sr, 2 * sr + 37)
@@ -105,7 +105,7 @@ class TestVoicingMatchesPerFrameLoop:
         assert np.array_equal(voicing_per_frame(np.stack([clip, clip[::-1]]), feat), pair)
 
     def test_voicing_memory_does_not_grow_with_the_file(self, monkeypatch):
-        feat = toy_config().features
+        feat = toy_config().model
         sr = feat.sample_rate
         monkeypatch.setattr(trainer, "VOICING_CHUNK_SAMPLES", sr)
         clip = np.random.default_rng(7).normal(0.0, 0.1, 20 * sr)
@@ -299,7 +299,7 @@ class TestTrainingLoop:
         result = train(cfg, tmp_path / "run", dataset=dataset)
         other = toy_config()
         other.model.n_mix = 8
-        other.features.mel_fmin = 50.0
+        other.model.mel_fmax = 1500.0
         model = CodecModel(other.model, seed=0)
         with pytest.raises(DigestError):
             model.load_checkpoint(result.checkpoint_path, expected_digest=other.digest())
@@ -325,9 +325,9 @@ class TestDataset:
     @pytest.mark.parametrize("clips_per_call", [1, 4, None])  # None: the default cap
     def test_voicing_is_each_clips_own(self, monkeypatch, clips_per_call):
         cfg = short_cfg()
-        feat = cfg.features
+        feat = cfg.model
         if clips_per_call is not None:
-            n = int(round(cfg.train.clip_seconds * feat.sample_rate))
+            n = cfg.clip_samples
             monkeypatch.setattr(trainer, "VOICING_CHUNK_SAMPLES", clips_per_call * n)
         dataset = ClipDataset.synthetic(cfg, n_clips=6, n_noises=0)
         per_clip = [voicing_per_frame(c, feat) for c in dataset.clips]
@@ -335,7 +335,7 @@ class TestDataset:
 
     def test_voicing_memory_does_not_grow_with_the_dataset(self, monkeypatch):
         cfg = short_cfg()
-        n = int(round(cfg.train.clip_seconds * cfg.features.sample_rate))
+        n = cfg.clip_samples
         monkeypatch.setattr(trainer, "VOICING_CHUNK_SAMPLES", 2 * n)
         rng = np.random.default_rng(3)
         clips = rng.normal(0.0, 0.1, (48, n))  # the dataset's own form: not copied
@@ -350,7 +350,7 @@ class TestDataset:
 
     def test_empty_noise_rejected(self):
         cfg = short_cfg()
-        clip = synthetic_clip(np.random.default_rng(0), cfg.features.sample_rate, 1280)
+        clip = synthetic_clip(np.random.default_rng(0), cfg.model.sample_rate, 1280)
         with pytest.raises(ConfigError, match="noise has no samples"):
             ClipDataset(cfg, [clip], [np.ones(50), np.zeros(0)])
 
@@ -366,7 +366,7 @@ class TestDataset:
 
     def test_from_manifest(self, tmp_path):
         cfg = short_cfg(steps=2)
-        sr = cfg.features.sample_rate
+        sr = cfg.model.sample_rate
         rng = np.random.default_rng(0)
         wav = tmp_path / "c.wav"
         save_wav(wav, AudioBuffer(rng.uniform(-0.5, 0.5, sr), sr))
