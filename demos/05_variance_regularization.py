@@ -41,7 +41,7 @@ for nu in (0.0, 0.01):
     cfg.train.seed = 2024
     dataset = ClipDataset.synthetic(cfg)
     print(f"== training with nu={nu} ==")
-    result = train(cfg, work / f"nu{nu}", dataset=dataset, log_every=max(steps // 10, 1))
+    result = train(cfg, work / f"nu{nu}", dataset=dataset)
     for row in result.metrics[:: max(len(result.metrics) // 5, 1)]:
         print(f"  step {row['step']:5d}  nll {row['nll']:+.4f}  sigma {row['sigma_mean']:.4f}")
     runs[nu] = (cfg, result)

@@ -1,6 +1,7 @@
 """Named-array binary container used for quantizer models and checkpoints.
 
-Layout (all integers little-endian):
+Layout (all integers little-endian); the first four fields are the
+17-byte header (`pack_header`) that the bitstream starts with too:
 
     magic     4 bytes (owner-specific)
     version   u8
@@ -22,18 +23,42 @@ import struct
 
 import numpy as np
 
-from .errors import DigestError, FormatError
+from .errors import DigestError, FormatError, FramingError
 
 VERSION = 1
+# magic, version, digest and a count: of a container's entries, of a
+# bitstream's supervectors
+HEADER = struct.Struct("<4sB8sI")
 
 _DTYPES = {0: "<f8", 1: "<f4", 2: "<i8", 3: "u1", 4: "<u4"}
 _CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 
 
-def pack_container(magic: bytes, digest: bytes, arrays: dict[str, np.ndarray]) -> bytes:
+def pack_header(magic: bytes, digest: bytes, count: int) -> bytes:
     if len(magic) != 4 or len(digest) != 8:
         raise ValueError("magic must be 4 bytes and digest 8 bytes")
-    parts = [magic, struct.pack("<B", VERSION), digest, struct.pack("<I", len(arrays))]
+    return HEADER.pack(magic, VERSION, digest, count)
+
+
+def unpack_header(blob: bytes, magic: bytes,
+                  expected_digest: bytes | None = None) -> tuple[bytes, int]:
+    """Return (digest, count) from the header. FramingError if blob is
+    shorter than it, FormatError on another magic or version, DigestError
+    if the digest is not `expected_digest` (None accepts any)."""
+    if len(blob) < HEADER.size:
+        raise FramingError(f"{len(blob)} bytes, shorter than the {HEADER.size}-byte header")
+    found, version, digest, count = HEADER.unpack_from(blob)
+    if found != magic:
+        raise FormatError(f"bad magic {found!r}, expected {magic!r}")
+    if version != VERSION:
+        raise FormatError(f"unsupported version {version}")
+    if expected_digest is not None and digest != expected_digest:
+        raise DigestError("artifact was built under a different configuration")
+    return digest, count
+
+
+def pack_container(magic: bytes, digest: bytes, arrays: dict[str, np.ndarray]) -> bytes:
+    parts = [pack_header(magic, digest, len(arrays))]
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
         key = np.dtype(arr.dtype.str.replace(">", "<"))
@@ -51,7 +76,8 @@ def pack_container(magic: bytes, digest: bytes, arrays: dict[str, np.ndarray]) -
 def unpack_container(
     blob: bytes, magic: bytes, expected_digest: bytes | None = None
 ) -> tuple[bytes, dict[str, np.ndarray]]:
-    """Return (digest, arrays). Raises DigestError on a config mismatch.
+    """Return (digest, arrays). Raises DigestError on a config mismatch
+    and `unpack_header`'s errors on a bad header.
 
     Each array is a read-only view of `blob`, not a copy: the entries share
     its one buffer, so a caller that keeps any one of them keeps the whole
@@ -59,18 +85,8 @@ def unpack_container(
     need not be aligned to its dtype. Any other malformed blob, including
     one with bytes after its last entry, raises FormatError.
     """
-    if len(blob) < 17:
-        raise FormatError("container truncated")
-    if blob[:4] != magic:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {magic!r}")
-    version = blob[4]
-    if version != VERSION:
-        raise FormatError(f"unsupported container version {version}")
-    digest = blob[5:13]
-    if expected_digest is not None and digest != expected_digest:
-        raise DigestError("artifact was built under a different configuration")
-    (n_entries,) = struct.unpack_from("<I", blob, 13)
-    offset = 17
+    digest, n_entries = unpack_header(blob, magic, expected_digest)
+    offset = HEADER.size
     arrays: dict[str, np.ndarray] = {}
     try:
         for _ in range(n_entries):

@@ -22,7 +22,7 @@ class DigestError(FormatError):
 
 
 class FramingError(FormatError):
-    """Bitstream payload is truncated or has an inconsistent length."""
+    """A file shorter than its header, or a bitstream payload of the wrong length."""
 
 
 class ConfigError(CodecError):

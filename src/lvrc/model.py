@@ -51,8 +51,8 @@ MEL_OFFSET, MEL_SCALE = 11.5, 0.125
 # delays), None marking a stride-2 transpose convolution; "proj" follows.
 _LAYERS = (("in", (1, 0, -1)), ("dil0", (1, 0)), ("dil1", (2, 0)), ("dil2", (4, 0)),
            ("up0", None), ("up1", None), ("up2", None))
-# Conditioning rows per chunk of a forward-only teacher-forced pass; a row
-# covers tile_factor steps, so a chunk is 160 steps at the toy preset and
+# Conditioning rows per span of a forward-only teacher-forced pass; a row
+# covers tile_factor steps, so a span is 160 steps at the toy preset and
 # 320 at the paper's, and the GRU buffers hold those steps alone.
 FORWARD_CHUNK_ROWS = 32
 
@@ -124,7 +124,6 @@ class CodecModel:
         self.out_w = Parameter("out.w", init_weight(rng, (n * k * 3, h), h, n * k * 3))
         self.out_b = Parameter("out.b", np.zeros(n * k * 3))
         self.filterbank = Filterbank(n, cfg.fb_taps)
-        self.hop = cfg.hop_length
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -185,44 +184,45 @@ class CodecModel:
     def _frame_of_step(self, n_steps: int, n_frames: int) -> np.ndarray:
         """Mel frame index containing each GRU step (frames are hop-centered)."""
         sample_pos = np.arange(n_steps) * self.cfg.n_bands
-        return np.clip(np.round(sample_pos / self.hop).astype(np.int64), 0, n_frames - 1)
+        frame = np.round(sample_pos / self.cfg.hop_length).astype(np.int64)
+        return np.clip(frame, 0, n_frames - 1)
 
-    def _steps(self, prev, x, cond, h0, head):
-        """in_proj plus the tiled conditioning (step t reads row t // tile of
-        cond), the GRU from h0, the output layer and `mol.head_terms(x, ...,
-        *head)` over previous samples prev and targets x (B, T, N). Returns
-        (states, GRU cache, flat rows, HeadTerms); the first two view GRU buffers.
+    def _forward(self, prev, x, cond, h, head, span):
+        """The teacher-forced steps over previous samples prev and targets x
+        (B, T, N), `span` steps at a time with the GRU state carried across
+        from h: in_proj plus the tiled conditioning (step t reads row
+        t // tile of cond), the GRU, the output layer and `mol.head_terms(x,
+        ..., *head)`. Returns the whole (B, T, ·) NLL, variance and
+        regularizer terms, the maxima of |states| and |flat rows|, and the
+        last span's states, GRU cache, flat rows and head gradients d_nll
+        and d_reg; the first two view GRU buffers. `span` is a multiple of
+        tile_factor or all T steps.
         """
+        batch, steps, _ = x.shape
         tile = self.cfg.tile_factor
-        xs = dense_forward(prev, self.in_proj_w.value, self.in_proj_b.value)
-        for j in range(tile):  # added in place for each offset j within a row
-            xs_j = xs[:, j::tile]
-            xs_j += cond[:, : xs_j.shape[1]]
-        hs, gru_cache = self.gru.forward_sequence(xs, h0)
-        flat = dense_forward(hs, self.out_w.value, self.out_b.value)
-        return hs, gru_cache, flat, mol.head_terms(x, flat.reshape(*x.shape, -1), *head)
-
-    def _forward_chunks(self, prev, x, cond, h, head):
-        """`_steps` over chunks of `FORWARD_CHUNK_ROWS` conditioning rows, the
-        state carried across. Returns the whole (B, T, ·) NLL, variance and
-        regularizer terms, and the maxima of |states| and |flat rows|.
-        """
-        batch, steps, n_bands = x.shape
-        tile = self.cfg.tile_factor
-        span = FORWARD_CHUNK_ROWS * tile
-        whole = [np.empty((batch, steps, n)) for n in (n_bands, n_bands, head[0])]
-        peak_h = peak_raw = 0.0
+        whole = None  # made after the first head, whose peak it would raise
+        peaks = (0.0, 0.0)
         for lo in range(0, steps, span):
-            part = slice(lo, lo + span)
-            hs, _, flat, terms = self._steps(prev[:, part], x[:, part], cond[:, lo // tile :],
-                                             h, head)
-            for w, a in zip(whole, (terms.nll, terms.var, terms.reg)):
+            part, rows = slice(lo, lo + span), cond[:, lo // tile :]
+            xs = dense_forward(prev[:, part], self.in_proj_w.value, self.in_proj_b.value)
+            for j in range(tile):  # added in place for each offset j within a row
+                xs_j = xs[:, j::tile]
+                xs_j += rows[:, : xs_j.shape[1]]
+            hs, gru_cache = self.gru.forward_sequence(xs, h)
+            flat = dense_forward(hs, self.out_w.value, self.out_b.value)
+            terms = mol.head_terms(x[:, part], flat.reshape(*x[:, part].shape, -1), *head)
+            got = (terms.nll, terms.var, terms.reg)
+            if whole is None:
+                whole = [np.empty((batch, steps, a.shape[-1])) for a in got]
+            for w, a in zip(whole, got):
                 w[:, part] = a
-            peak_h = np.maximum(peak_h, np.abs(hs).max())  # NaN-propagating maxima
-            peak_raw = np.maximum(peak_raw, np.abs(flat).max())
+            # np.abs(a).max() bit for bit, NaN kept, without an |a| temporary
+            peaks = tuple(np.maximum(p, abs(np.maximum(a.max(), -a.min())))
+                          for p, a in zip(peaks, (hs, flat)))
             h = hs[:, -1]  # forward_sequence copies h0 before it writes the states
-        self.gru.release()  # no backward follows, so the buffers go back now
-        return (*whole, (peak_h, peak_raw))
+        # the last span's own nll, var and reg stay behind: `whole` holds
+        # them, and the backward would hold both
+        return (*whole, peaks, (hs, gru_cache, flat, terms.d_nll, terms.d_reg))
 
     def teacher_forced(self, audio, mels, nu: float = 0.0, regularizer: str = "log",
                        var_floor: float = 1e-4, reg_bands: int = 2,
@@ -242,9 +242,11 @@ class CodecModel:
         With gamma0 > 0, q is the train-mode density with the broad
         baseline mixed in (`mol.head_terms`).
 
-        Without compute_grads the steps run in chunks (`_forward_chunks`),
-        so the GRU buffers and head rows are held for one chunk at a time;
-        the outputs keep the gradient pass's bits.
+        The steps run in one loop (`_forward`): the gradient pass as one
+        span, whose GRU cache the backward reads, and the pass without
+        compute_grads in spans of `FORWARD_CHUNK_ROWS` conditioning rows, so
+        the GRU buffers and head rows are held for one span at a time; the
+        outputs keep the gradient pass's bits.
         """
         cfg = self.cfg
         mels = np.asarray(mels, dtype=np.float64)
@@ -266,12 +268,13 @@ class CodecModel:
         prev = np.concatenate([np.zeros((batch, 1, n_bands)), x[:, :-1]], axis=1)
         h0 = np.zeros((batch, cfg.gru_state))
         head = (reg_bands, var_floor, regularizer, gamma0, compute_grads)
-        if compute_grads:
-            hs, gru_cache, flat, terms = self._steps(prev, x, cond, h0, head)
-            nll, var, reg = terms.nll, terms.var, terms.reg
-        else:
-            acts = None  # no backward reads the layer outputs
-            nll, var, reg, peaks = self._forward_chunks(prev, x, cond, h0, head)
+        span = steps  # one span, whose GRU cache the backward reads
+        if not compute_grads:  # no backward reads the layer outputs: drop them first
+            acts, span = None, FORWARD_CHUNK_ROWS * tile
+        nll, var, reg, peaks, last = self._forward(prev, x, cond, h0, head, span)
+        if not compute_grads:  # nor the last span, so the GRU buffers go back now
+            last = None
+            self.gru.release()
         neg_ll = float(nll.mean())
         loss = neg_ll
         sigma_all = np.sqrt(np.maximum(var, 0.0))
@@ -286,8 +289,6 @@ class CodecModel:
         if nu != 0.0:
             loss = neg_ll + nu * jvar
         if not np.isfinite(loss):
-            if compute_grads:  # the chunks kept their running maxima
-                peaks = np.abs(hs).max(), np.abs(flat).max()
             raise NumericError(f"non-finite loss (nll={neg_ll}, jvar={jvar}); "
                                f"max |h|={peaks[0]:.3g}, max |raw|={peaks[1]:.3g}")
 
@@ -304,10 +305,11 @@ class CodecModel:
         if not compute_grads:
             return result
 
-        d_raw = terms.d_nll * (1.0 / nll.size)
+        hs, gru_cache, flat, d_nll, d_reg = last  # the gradient pass's one span
+        d_raw = d_nll * (1.0 / nll.size)
         if nu != 0.0:
             wr = weights[..., None, None] * (nu / reg.size)
-            d_raw[:, :, :reg_bands] += wr * terms.d_reg
+            d_raw[:, :, :reg_bands] += wr * d_reg
 
         d_hs, dw, db = dense_backward(hs, self.out_w.value, d_raw.reshape(flat.shape))
         self.out_w.grad += dw

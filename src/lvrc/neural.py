@@ -438,21 +438,25 @@ class Adam:
             p.apply_mask()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
+        out = {"adam_step": np.array([self.step_count], dtype=np.int64)}
         for name, (m, v) in self.slots.items():
             out[f"adam_m/{name}"] = m
             out[f"adam_v/{name}"] = v
         return out
 
-    def load_state(self, arrays: dict[str, np.ndarray], params: list[Parameter],
-                   step_count: int) -> None:
-        """Restore the moment slots; FormatError, with nothing changed, if a
-        slot is missing its pair or its shape is not its parameter's."""
+    def load_state(self, arrays: dict[str, np.ndarray], params: list[Parameter]) -> None:
+        """Restore the step count and the moment slots; FormatError, with
+        nothing changed, if the step is missing or negative, or a slot is
+        missing one of its pair or its shape is not its parameter's. A
+        parameter with neither entry has no slot, as one never updated."""
+        step_count = int(entry(arrays, "adam_step", 1)[0])
+        if step_count < 0:
+            raise FormatError(f"optimizer step {step_count} is negative")
         slots = {}
         for p in params:
             m_key, v_key = f"adam_m/{p.name}", f"adam_v/{p.name}"
-            if m_key in arrays:
-                m, v = arrays[m_key], entry(arrays, v_key)
+            if m_key in arrays or v_key in arrays:
+                m, v = entry(arrays, m_key), entry(arrays, v_key)
                 if m.shape != p.value.shape or v.shape != p.value.shape:
                     raise FormatError(f"optimizer state shape mismatch for {p.name}")
                 slots[p.name] = (m.astype(p.value.dtype), v.astype(p.value.dtype))

@@ -5,24 +5,23 @@ decorrelated by a KLT fitted offline, split into consecutive coefficient
 pairs (eigenvalue order), and each split is quantized with its own
 k-means codebook. Bits are spread over splits by a greedy rule driven by
 the split eigenvalue mass. Indices are packed MSB-first into a bitstream
-with a fixed little-endian header; splits given zero bits are not coded
-and decode to the zero coefficient.
+behind the 17-byte header every lvrc file starts with
+(`container.pack_header`); splits given zero bits are not coded and
+decode to the zero coefficient.
 """
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import QuantizerConfig
-from .container import entry, read_container, write_container
-from .errors import ConfigError, DigestError, FormatError, FramingError
+from .container import HEADER, entry, pack_header, read_container, unpack_header, write_container
+from .errors import ConfigError, FormatError, FramingError
 
 BITSTREAM_MAGIC = b"LVRC"
-BITSTREAM_VERSION = 1
 MODEL_MAGIC = b"LVRQ"
 # Lloyd iterations per codebook at most, and the relative distortion change
 # below which `kmeans` stops early.
@@ -348,32 +347,17 @@ def unpack_indices(payload: bytes, n_super: int, allocations: np.ndarray) -> np.
 
 
 def encode(frames: np.ndarray, model: QuantizerModel) -> bytes:
-    """Full bitstream: LVRC magic, version, digest, supervector count, payload."""
+    """Full bitstream: the container header (LVRC magic, version, digest,
+    supervector count), then the payload."""
     indices = quantize_indices(frames, model)
     payload = pack_indices(indices, model.vq.allocations)
-    header = (
-        BITSTREAM_MAGIC
-        + struct.pack("<B", BITSTREAM_VERSION)
-        + model.digest
-        + struct.pack("<I", len(indices))
-    )
-    return header + payload
+    return pack_header(BITSTREAM_MAGIC, model.digest, len(indices)) + payload
 
 
 def decode(blob: bytes, model: QuantizerModel) -> np.ndarray:
     """Bitstream back to quantized log mel frames."""
-    if len(blob) < 17:
-        raise FramingError("bitstream shorter than its header")
-    if blob[:4] != BITSTREAM_MAGIC:
-        raise FormatError("not an LVRC bitstream")
-    version = blob[4]
-    if version != BITSTREAM_VERSION:
-        raise FormatError(f"unsupported bitstream version {version}")
-    digest = blob[5:13]
-    if digest != model.digest:
-        raise DigestError("bitstream/quantizer config digests differ")
-    (n_super,) = struct.unpack_from("<I", blob, 13)
-    indices = unpack_indices(blob[17:], n_super, model.vq.allocations)
+    _, n_super = unpack_header(blob, BITSTREAM_MAGIC, model.digest)
+    indices = unpack_indices(blob[HEADER.size :], n_super, model.vq.allocations)
     return reconstruct_from_indices(indices, n_super, model)
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .audio import AudioBuffer, load_wav
 from .config import CodecConfig, ModelConfig, TrainConfig, read_text
-from .container import entry
 from .errors import ConfigError, NumericError
 from .features import frame_count, frame_signal, log_mel_features
 from .model import CodecModel
@@ -95,24 +94,19 @@ def voicing_per_frame(samples: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return out.reshape(lead + (n_frames,))
 
 
-def mix_noise(clean: AudioBuffer, noise: AudioBuffer | None, snr_db: float,
-              rng: np.random.Generator) -> AudioBuffer:
-    """Add noise at the requested SNR; peak-normalize only if the mix clips.
+def mix_noise(clean: np.ndarray, noise: np.ndarray, snr_db: float,
+              rng: np.random.Generator) -> np.ndarray:
+    """Add noise to clean (L,) at snr_db dB; peak-normalize only if the mix clips.
 
-    snr_db = inf (or noise None) returns the clean buffer unchanged, as
-    does digital silence. The noise is looped or randomly cropped to the
-    clip length.
+    The noise is looped or randomly cropped to the clip length. Digital
+    silence, in the clean clip or in the noise, returns clean unchanged.
     """
-    if noise is None or math.isinf(snr_db):
-        return clean
-    if noise.sample_rate != clean.sample_rate:
-        raise ConfigError("clean and noise sample rates differ")
-    p_clean = float(np.mean(clean.samples**2))
+    p_clean = float(np.mean(clean**2))
     if p_clean == 0.0:
         return clean
 
-    length = len(clean.samples)
-    src = noise.samples
+    length = len(clean)
+    src = noise
     if len(src) < length:
         reps = -(-length // max(len(src), 1))
         src = np.tile(src, reps)
@@ -123,11 +117,11 @@ def mix_noise(clean: AudioBuffer, noise: AudioBuffer | None, snr_db: float,
     if p_noise == 0.0:
         return clean
     scale = math.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
-    mixed = clean.samples + scale * src
+    mixed = clean + scale * src
     peak = np.max(np.abs(mixed))
     if peak > 1.0:
         mixed = mixed / peak
-    return AudioBuffer(mixed, clean.sample_rate)
+    return mixed
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +282,12 @@ class ClipDataset:
         sr = self.cfg.model.sample_rate
         audio = np.empty((tc.batch_size, self.clip_len))
         for row, i in enumerate(idx):
-            clean = AudioBuffer(self.clips[i], sr)
+            mixed = self.clips[i]
             if self.noises:
                 j = int(rng.integers(0, len(self.noises)))
                 snr = float(rng.uniform(tc.snr_min, tc.snr_max))
-                mixed = mix_noise(clean, AudioBuffer(self.noises[j], sr), snr, rng)
-            else:
-                mixed = clean
-            audio[row] = mixed.samples
+                mixed = mix_noise(mixed, self.noises[j], snr, rng)
+            audio[row] = mixed
         mels = np.stack([
             log_mel_features(AudioBuffer(a, sr), self.cfg.model) for a in audio
         ])
@@ -388,7 +380,7 @@ def _metrics_rows_through(path: str, step: int) -> list[str]:
 
 
 def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
-          resume_from: str | None = None, log_every: int = 1) -> TrainResult:
+          resume_from: str | None = None) -> TrainResult:
     """Run the training loop; deterministic for a given config and seed.
 
     Writes checkpoint files and a metrics CSV into out_dir; a resume
@@ -425,7 +417,7 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
     start_step = 0
     if resume_from is not None:
         start_step, arrays = model.load_checkpoint(resume_from, expected_digest=digest)
-        optimizer.load_state(arrays, params, step_count=int(entry(arrays, "adam_step", 1)[0]))
+        optimizer.load_state(arrays, params)
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
     metrics: list[dict] = []
@@ -442,8 +434,7 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
     step = start_step
 
     def save(step_now, keep=False):
-        extra = {"adam_step": np.array([optimizer.step_count], dtype=np.int64)}
-        extra.update(optimizer.state_arrays())
+        extra = optimizer.state_arrays()
         model.save_checkpoint(ckpt_path, digest, step_now, extra)
         if keep:
             kept = os.path.join(out_dir, f"model_step{step_now}.ckpt")
@@ -466,20 +457,19 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
                     and (step - tc.prune_start) % tc.prune_interval == 0):
                 for p in model.prunable_parameters():
                     prune_update(p, pruning_sparsity(tc, step))
-            if step % log_every == 0 or step == tc.steps:
-                prunable = model.prunable_parameters()
-                total = sum(p.value.size for p in prunable)
-                masked = sum(int(p.value.size - p.mask.sum()) if p.mask is not None else 0
-                             for p in prunable)
-                row = {
-                    "step": step,
-                    "nll": res["nll"],
-                    "jvar": res["jvar"],
-                    "sigma_mean": float(res["sigma"].mean()),
-                    "sparsity": masked / total if total else 0.0,
-                }
-                metrics.append(row)
-                writer.writerow([row[k] for k in METRICS_HEADER])
+            prunable = model.prunable_parameters()
+            total = sum(p.value.size for p in prunable)
+            masked = sum(int(p.value.size - p.mask.sum()) if p.mask is not None else 0
+                         for p in prunable)
+            row = {
+                "step": step,
+                "nll": res["nll"],
+                "jvar": res["jvar"],
+                "sigma_mean": float(res["sigma"].mean()),
+                "sparsity": masked / total if total else 0.0,
+            }
+            metrics.append(row)
+            writer.writerow([row[k] for k in METRICS_HEADER])
             if step % tc.checkpoint_interval == 0:
                 save(step, keep=True)
     except NumericError as exc:

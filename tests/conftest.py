@@ -64,7 +64,7 @@ def paired_runs(tmp_path_factory):
                 dataset = ClipDataset.synthetic(cfg)
                 run_dir = tmp_path_factory.mktemp(f"run_nu{nu}")
                 jobs[nu] = (cfg, dataset,
-                            pool.submit(train, cfg, run_dir, dataset=dataset, log_every=50))
+                            pool.submit(train, cfg, run_dir, dataset=dataset))
             for nu, (cfg, dataset, job) in jobs.items():
                 result = job.result()
                 assert not result.halted, "training halted on non-finite loss"

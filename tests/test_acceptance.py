@@ -197,7 +197,7 @@ def test_criterion_05_pruning_schedule(tmp_path):
     cfg.train.target_sparsity = 0.92
     cfg.train.checkpoint_interval = 130
     dataset = ClipDataset.synthetic(cfg, n_clips=16)
-    result = train(cfg, tmp_path / "prune", dataset=dataset, log_every=1)
+    result = train(cfg, tmp_path / "prune", dataset=dataset)
     assert not result.halted
     assert all(np.isfinite(m["nll"]) for m in result.metrics)
 

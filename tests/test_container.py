@@ -12,12 +12,14 @@ import pytest
 from lvrc import container
 from lvrc.container import (
     pack_container,
+    pack_header,
     read_container,
     unpack_container,
+    unpack_header,
     write_container,
     write_file_atomic,
 )
-from lvrc.errors import FormatError
+from lvrc.errors import DigestError, FormatError, FramingError
 
 MAGIC, DIGEST = b"TEST", b"\x01" * 8
 
@@ -65,6 +67,16 @@ def test_every_truncation_rejected():
     for cut in range(len(blob)):
         with pytest.raises(FormatError):
             unpack_container(blob[:cut], MAGIC)
+
+
+def test_header_checks():
+    blob = pack_container(MAGIC, DIGEST, {"a": np.zeros(2)})
+    assert blob[:17] == pack_header(MAGIC, DIGEST, 1)
+    assert unpack_header(blob, MAGIC, DIGEST) == (DIGEST, 1)
+    with pytest.raises(FramingError):  # shorter than the header, as for a bitstream
+        unpack_container(blob[:10], MAGIC)
+    with pytest.raises(DigestError):
+        unpack_container(blob, MAGIC, b"\x02" * 8)
 
 
 def test_non_utf8_entry_name_rejected():

@@ -42,14 +42,14 @@ class TestConditioning:
         raw_cond, _ = model.cond.forward(np.zeros((1, 7, 5)))
         assert raw_cond.shape == (1, 7 * 8, 8)
         # tiled, each conditioning step covers 10 band steps: 7 hops of audio
-        assert raw_cond.shape[1] * 10 * cfg.n_bands == 7 * model.hop
+        assert raw_cond.shape[1] * 10 * cfg.n_bands == 7 * model.cfg.hop_length
 
     def test_output_length_law(self):
         model = tiny_model()
         for frames in (1, 3, 5):
             cond, _ = model.cond.forward(np.zeros((2, frames, 5)))
             assert cond.shape[1] == frames * 8
-            assert cond.shape[1] * model.cfg.tile_factor * model.cfg.n_bands == frames * model.hop
+            assert cond.shape[1] * model.cfg.tile_factor * model.cfg.n_bands == frames * model.cfg.hop_length
 
     def test_constant_input_steady_state(self):
         model = tiny_model(seed=3)
@@ -188,7 +188,7 @@ class TestTeacherForced:
         # the toy preset grew by 8.4 MiB per second of audio when the whole
         # clip's GRU buffers and head rows were alive at once
         model = CodecModel(toy_config().model, seed=0)
-        sr, hop = model.cfg.sample_rate, model.hop
+        sr, hop = model.cfg.sample_rate, model.cfg.hop_length
         rng = np.random.default_rng(47)
         peaks = []
         for seconds in (2, 8):
@@ -403,7 +403,7 @@ class TestGenerate:
     def test_frames_times_hop_is_the_length(self):
         # 402 * 32 / 1600 * 1600 is 12863.999...: truncating it lost a band step
         model = tiny_model(seed=10)
-        hop, sr = model.hop, model.cfg.sample_rate
+        hop, sr = model.cfg.hop_length, model.cfg.sample_rate
         out = model.generate(np.zeros((402, 5)), np.random.default_rng(0), seconds=402 * hop / sr)
         assert len(out.samples) == 402 * hop
 

@@ -293,6 +293,8 @@ class TestEncodeDecode:
             q.decode(blob[:5] + b"\x02" * 8 + blob[13:], model)
         with pytest.raises(FramingError):
             q.decode(blob[:-1], model)
+        with pytest.raises(FramingError):  # shorter than the header
+            q.decode(blob[:10], model)
 
     def test_save_load_byte_identical(self, fitted, tmp_path):
         _, model = fitted

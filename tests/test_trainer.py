@@ -1,6 +1,7 @@
 """Voicing, noise mixing, manifest and the training loop."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -135,58 +136,42 @@ class TestVoicingMatchesPerFrameLoop:
 
 
 def measured_snr_db(mixed, clean):
-    noise = mixed.samples - clean.samples
-    return 10.0 * np.log10(np.sum(clean.samples**2) / np.sum(noise**2))
+    noise = mixed - clean
+    return 10.0 * np.log10(np.sum(clean**2) / np.sum(noise**2))
 
 
 class TestMixNoise:
     def test_zero_db_equal_powers(self):
         rng = np.random.default_rng(0)
-        clean = AudioBuffer(0.1 * np.sin(2 * np.pi * 100 * np.arange(8000) / 8000), 8000)
-        noise = AudioBuffer(rng.normal(0, 0.05, 8000), 8000)
+        clean = 0.1 * np.sin(2 * np.pi * 100 * np.arange(8000) / 8000)
+        noise = rng.normal(0, 0.05, 8000)
         mixed = mix_noise(clean, noise, 0.0, rng)
         assert measured_snr_db(mixed, clean) == pytest.approx(0.0, abs=0.01)
 
-    def test_infinite_snr_returns_clean(self):
-        rng = np.random.default_rng(1)
-        clean = AudioBuffer(rng.uniform(-0.3, 0.3, 1000), 8000)
-        mixed = mix_noise(clean, AudioBuffer(rng.normal(0, 1, 1000), 8000), np.inf, rng)
-        assert mixed is clean
-
     def test_silent_clean_unchanged(self):
         rng = np.random.default_rng(2)
-        clean = AudioBuffer(np.zeros(500), 8000)
-        assert mix_noise(clean, AudioBuffer(rng.normal(0, 1, 500), 8000), 10.0, rng) is clean
+        clean = np.zeros(500)
+        assert mix_noise(clean, rng.normal(0, 1, 500), 10.0, rng) is clean
 
     def test_requested_snr_achieved_over_draws(self):
         # amplitudes kept small so the mix never clips (no renormalization)
         rng = np.random.default_rng(3)
         worst = 0.0
         for _ in range(50):
-            clean = AudioBuffer(0.1 * rng.standard_normal(4000), 8000)
-            noise = AudioBuffer(0.5 * rng.standard_normal(6000), 8000)
+            clean = 0.1 * rng.standard_normal(4000)
+            noise = 0.5 * rng.standard_normal(6000)
             target = float(rng.uniform(0.0, 40.0))
             mixed = mix_noise(clean, noise, target, rng)
-            assert np.max(np.abs(mixed.samples)) <= 1.0
+            assert np.max(np.abs(mixed)) <= 1.0
             worst = max(worst, abs(measured_snr_db(mixed, clean) - target))
         assert worst <= 0.01
 
     def test_clipping_mix_renormalized_to_peak(self):
         rng = np.random.default_rng(5)
-        clean = AudioBuffer(0.9 * np.sin(2 * np.pi * 150 * np.arange(4000) / 8000), 8000)
-        noise = AudioBuffer(0.9 * rng.standard_normal(4000), 8000)
+        clean = 0.9 * np.sin(2 * np.pi * 150 * np.arange(4000) / 8000)
+        noise = 0.9 * rng.standard_normal(4000)
         mixed = mix_noise(clean, noise, 0.0, rng)
-        assert np.max(np.abs(mixed.samples)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rate_mismatch_rejected(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(ConfigError):
-            mix_noise(
-                AudioBuffer(np.ones(100) * 0.1, 8000),
-                AudioBuffer(np.ones(100) * 0.1, 16000),
-                10.0,
-                rng,
-            )
+        assert np.max(np.abs(mixed)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestManifest:
@@ -229,7 +214,7 @@ class TestTrainingLoop:
     def test_smoke_nll_decreases(self, tmp_path):
         cfg = short_cfg(nu=0.0)
         dataset = ClipDataset.synthetic(cfg, n_clips=16)
-        result = train(cfg, tmp_path / "run", dataset=dataset, log_every=10)
+        result = train(cfg, tmp_path / "run", dataset=dataset)
         assert not result.halted
         nll = [m["nll"] for m in result.metrics]
         assert np.mean(nll[-3:]) < np.mean(nll[:3])
@@ -246,15 +231,15 @@ class TestTrainingLoop:
         cfg_a = short_cfg(steps=30, checkpoint_interval=15)
         dataset = ClipDataset.synthetic(cfg_a, n_clips=8)
 
-        full = train(cfg_a, tmp_path / "full", dataset=dataset, log_every=1)
-        rerun = train(cfg_a, tmp_path / "rerun", dataset=dataset, log_every=1)
+        full = train(cfg_a, tmp_path / "full", dataset=dataset)
+        rerun = train(cfg_a, tmp_path / "rerun", dataset=dataset)
         assert [m["nll"] for m in full.metrics] == [m["nll"] for m in rerun.metrics]
 
         cfg_b = short_cfg(steps=15, checkpoint_interval=15)
-        half = train(cfg_b, tmp_path / "half", dataset=dataset, log_every=1)
+        half = train(cfg_b, tmp_path / "half", dataset=dataset)
         cfg_c = short_cfg(steps=30, checkpoint_interval=15)
         resumed = train(cfg_c, tmp_path / "resumed", dataset=dataset,
-                        resume_from=half.checkpoint_path, log_every=1)
+                        resume_from=half.checkpoint_path)
         # the step right after the checkpoint reproduces the full run bit-exactly
         full_by_step = {m["step"]: m["nll"] for m in full.metrics}
         for m in resumed.metrics:
@@ -262,7 +247,7 @@ class TestTrainingLoop:
 
         # a resume in the same directory replaces the rows past its checkpoint
         again = train(cfg_a, tmp_path / "rerun", dataset=dataset,
-                      resume_from=rerun.checkpoint_series[0], log_every=1)
+                      resume_from=rerun.checkpoint_series[0])
         assert [m["step"] for m in again.metrics] == list(range(16, 31))
         assert ((tmp_path / "rerun" / "metrics.csv").read_bytes()
                 == (tmp_path / "full" / "metrics.csv").read_bytes())
@@ -276,8 +261,19 @@ class TestTrainingLoop:
             learning_rate(tc, t) for t in range(1, 200)
         ]
 
-    @pytest.mark.parametrize("dropped", ["adam_step", "adam_v/out.w"])
+    @pytest.mark.parametrize("dropped", ["adam_step", "adam_v/out.w", "adam_m/out.w"])
     def test_resume_without_optimizer_state_rejected(self, tmp_path, dropped):
+        self.check_resume_rejected(tmp_path, lambda arrays: arrays.pop(dropped), dropped)
+
+    def test_resume_with_negative_optimizer_step_rejected(self, tmp_path):
+        def negate(arrays):
+            arrays["adam_step"] = np.array([-3], dtype=np.int64)
+        self.check_resume_rejected(tmp_path, negate, "step -3 is negative")
+
+    @staticmethod
+    def check_resume_rejected(tmp_path, edit, message):
+        """A 2-step checkpoint, `edit`ed in place, fails to resume to step 4
+        with a FormatError whose message holds `message`."""
         from lvrc.container import read_container, write_container
         from lvrc.errors import FormatError
         from lvrc.model import CHECKPOINT_MAGIC
@@ -286,9 +282,10 @@ class TestTrainingLoop:
         dataset = ClipDataset.synthetic(cfg, n_clips=4)
         path = train(cfg, tmp_path / "run", dataset=dataset).checkpoint_path
         digest, arrays = read_container(path, CHECKPOINT_MAGIC)
-        write_container(path, CHECKPOINT_MAGIC, digest,
-                        {k: v for k, v in arrays.items() if k != dropped})
-        with pytest.raises(FormatError):
+        edit(arrays)
+        write_container(path, CHECKPOINT_MAGIC, digest, arrays)
+        cfg.train.steps = 4
+        with pytest.raises(FormatError, match=re.escape(message)):
             train(cfg, tmp_path / "resumed", dataset=dataset, resume_from=path)
 
     def test_checkpoint_binds_to_config(self, tmp_path):
