@@ -371,12 +371,13 @@ class CodecModel:
         prev = np.zeros(cfg.n_bands, dtype)
         noise = mol.sample_noise(rng, steps, cfg.n_bands)
         rows = np.empty((steps, cfg.n_bands))
-        for t in range(steps):
-            h = gru.step((cond_gates[t // tile] + prev @ fold)[None], h, weights)
-            flat = dense_forward(h, out_w, out_b).reshape(cfg.n_bands, -1)
-            sample = np.minimum(np.maximum(mol.sample(flat, noise[t]), -1.0), 1.0)
-            rows[t] = sample
-            prev = sample.astype(dtype)
+        with np.errstate(over="ignore"):  # a saturated GRU gate is exactly 0
+            for t in range(steps):
+                h = gru.step((cond_gates[t // tile] + prev @ fold)[None], h, weights)
+                flat = dense_forward(h, out_w, out_b).reshape(cfg.n_bands, -1)
+                sample = np.minimum(np.maximum(mol.sample(flat, noise[t]), -1.0), 1.0)
+                rows[t] = sample
+                prev = sample.astype(dtype)
         waveform = self.filterbank.synthesize(rows.T)
         delay = self.filterbank.group_delay
         out = waveform[delay : delay + steps * cfg.n_bands]

@@ -2,11 +2,12 @@
 
 One dense kernel whose weight is (out, in) or block-diagonal (blocks,
 out_b, in_b), dense being one block on the same code; a GRU cell whose
-training sequence and decode step run one update, the sequence in
-buffers it reuses from call to call; one tap-delay 1-D convolution
-(causal dilated and centered kernels are sets of tap delays) and the
-stride-2 transpose convolution; Adam with pruning-mask enforcement, and
-the magnitude-pruning mask update. A parameter makes its gradient
+training sequence and decode step run one update, its sigmoid
+1/(1+exp(-x)) in place on numpy arrays, the sequence in buffers it
+reuses from call to call; one tap-delay 1-D convolution (causal
+dilated and centered kernels are sets of tap delays) and the stride-2
+transpose convolution; Adam with pruning-mask enforcement, and the
+magnitude-pruning mask update. A parameter makes its gradient
 accumulator on first use, so a model that only runs forward holds each
 weight once. Backward functions return exact analytic gradients; the
 finite-difference test suite is the correctness contract. Sequence
@@ -17,7 +18,6 @@ out, in).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .container import entry
 from .errors import ConfigError, FormatError
@@ -190,7 +190,10 @@ class GRUCell:
         """One update of state h (B, H) from input-gate pre-activations (B, 3H).
 
         `gates` is laid out as `input_gates` returns it and `weights` is
-        `step_weights()`.
+        `step_weights()`. A gate pre-activation below the sigmoid's
+        overflow point gives a gate of exactly 0 and numpy's overflow
+        warning; a caller that steps in a loop silences it once around the
+        loop, as `CodecModel.generate` does (see `_update`).
         """
         h_new = self._update(_split(gates, self.blocks), _split(h, self.blocks), weights)[3]
         return _merge(h_new, h.shape[:-1])
@@ -203,11 +206,22 @@ class GRUCell:
         matmul over Rh; returns (z, r, cand, h_new), each (blocks, B, hb).
         `out` may name arrays for zr, cand and h_new and two (blocks, B, hb)
         scratch arrays to write into; each left None is allocated.
+
+        The sigmoid is 1/(1+exp(-x)), computed in place on zr in the
+        arrays' dtype, within eps of scipy's expit. Where exp(-x)
+        overflows (x below about -709 in float64, -88.7 in float32) the
+        gate is exactly 0, as expit's is, and numpy warns of the overflow.
+        `np.errstate` costs more than a B=1 sigmoid, so this does not
+        silence it per call: `forward_sequence` and `CodecModel.generate`
+        each silence it once around their step loops.
         """
         rzr, rh = weights
         hb = rh.shape[-1]
         zr, cand, h_new, one_minus_z, z_cand = out
-        zr = expit(np.add(g[..., : 2 * hb], h @ rzr, out=zr), out=zr)
+        zr = np.add(g[..., : 2 * hb], h @ rzr, out=zr)
+        np.exp(np.negative(zr, out=zr), out=zr)
+        zr += 1.0
+        np.reciprocal(zr, out=zr)
         z, r = zr[..., :hb], zr[..., hb:]
         cand = np.tanh(np.add(g[..., 2 * hb :], (r * h) @ rh, out=cand), out=cand)
         h_new = np.multiply(np.subtract(1.0, z, out=one_minus_z), h, out=h_new)
@@ -263,9 +277,10 @@ class GRUCell:
         weights = self.step_weights()
         h0 = h = _split(h0, blocks).copy()  # h0 may be a view of the states it precedes
         scratch = np.empty_like(h), np.empty_like(h)
-        for t in range(steps):
-            out = (zr[t], cand[t], hs[:, :, t], *scratch)
-            h = self._update(gates[:, :, t], h, weights, out)[3]
+        with np.errstate(over="ignore"):  # a saturated gate is exactly 0 (see _update)
+            for t in range(steps):
+                out = (zr[t], cand[t], hs[:, :, t], *scratch)
+                h = self._update(gates[:, :, t], h, weights, out)[3]
         self._live_cache = token = object()
         return buf["states"], (xs, h0, token)
 

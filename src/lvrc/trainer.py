@@ -4,9 +4,9 @@ The trainer consumes either a manifest of WAV files or the built-in
 synthetic dataset (harmonic tones with vibrato plus filtered noise
 bursts), mixes noise at a random SNR per clip, and minimizes the
 teacher-forced NLL plus the predictive-variance regularizer. Metrics go
-to a CSV (step, nll, jvar, sigma_mean, sparsity) that a resume cuts back
-to its checkpoint; checkpoints carry the optimizer state so training
-resumes bit-exactly.
+to a CSV (step, nll, jvar, sigma_mean, sparsity, grad_norm, skipped) that
+a resume cuts back to its checkpoint; checkpoints carry the optimizer
+state so training resumes bit-exactly.
 """
 
 from __future__ import annotations
@@ -20,12 +20,14 @@ import numpy as np
 
 from .audio import AudioBuffer, load_wav
 from .config import CodecConfig, ModelConfig, TrainConfig, read_text
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, FormatError, NumericError
 from .features import frame_count, frame_signal, log_mel_features
 from .model import CodecModel
 from .neural import Adam, prune_update
 
-METRICS_HEADER = ["step", "nll", "jvar", "sigma_mean", "sparsity"]
+# grad_norm: the global L2 norm of the gradients Adam reads; skipped: how many
+# parameters Adam skipped this step for a non-finite gradient
+METRICS_HEADER = ["step", "nll", "jvar", "sigma_mean", "sparsity", "grad_norm", "skipped"]
 # Signal samples whose frames `voicing_per_frame` scores per call (voicing
 # holds ~9x those samples: ~18 MiB).
 VOICING_CHUNK_SAMPLES = 1 << 18
@@ -370,13 +372,20 @@ def pruning_sparsity(tc: TrainConfig, step: int) -> float:
 
 
 def _metrics_rows_through(path: str, step: int) -> list[str]:
-    """The complete rows of metrics CSV `path` for steps <= `step`; [] if it is absent."""
+    """The complete rows of metrics CSV `path` for steps <= `step`; [] if it is absent.
+
+    FormatError if its header is not METRICS_HEADER, so a resume never
+    writes rows of two layouts into one file.
+    """
     if not os.path.exists(path):
         return []
     with open(path, newline="") as fh:
-        rows = fh.readlines()[1:]
+        lines = fh.readlines()
+    if lines and lines[0].rstrip("\r\n").split(",") != METRICS_HEADER:
+        raise FormatError(f"{path}: header {lines[0].strip()!r} is not "
+                          f"{','.join(METRICS_HEADER)!r}")
     # a row cut short by a crash has no line end
-    return [row for row in rows if row.endswith("\n") and int(row.split(",", 1)[0]) <= step]
+    return [row for row in lines[1:] if row.endswith("\n") and int(row.split(",", 1)[0]) <= step]
 
 
 def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
@@ -451,6 +460,8 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
                 var_floor=tc.var_floor, reg_bands=tc.reg_bands, voicing=voicing,
                 gamma0=tc.baseline_gamma0,
             )
+            grad_norm = math.sqrt(sum(float(np.sum(np.square(p.grad))) for p in params))
+            skipped = optimizer.skipped_updates
             optimizer.lr = learning_rate(tc, step)
             optimizer.step(params)
             if (tc.pruning and step > tc.prune_start
@@ -467,6 +478,8 @@ def train(cfg: CodecConfig, out_dir, dataset: ClipDataset | None = None,
                 "jvar": res["jvar"],
                 "sigma_mean": float(res["sigma"].mean()),
                 "sparsity": masked / total if total else 0.0,
+                "grad_norm": grad_norm,
+                "skipped": optimizer.skipped_updates - skipped,
             }
             metrics.append(row)
             writer.writerow([row[k] for k in METRICS_HEADER])

@@ -501,16 +501,54 @@ def _python(*args):
                           timeout=120)
 
 
-def test_cold_start_imports_no_heavy_scipy_module():
-    """The CLI and a model build load scipy.special only: each heavy module costs ~1 s."""
+SCIPY_IN_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cold_start_imports_no_scipy():
+    """The CLI and a model build load no scipy module: lvrc runs on numpy alone."""
     code = (
         "import sys, lvrc.cli\n"
         "from lvrc.config import toy_config\n"
         "from lvrc.model import CodecModel\n"
         "CodecModel(toy_config().model)\n"
-        "heavy = ('scipy.signal', 'scipy.optimize', 'scipy.stats', 'scipy.interpolate')\n"
-        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        f"print({SCIPY_IN_MODULES})\n"
     )
     out = _python("-c", code)
     out.check_returncode()
     assert out.stdout.strip() == "[]"
+
+
+def test_pipeline_runs_with_scipy_blocked(tmp_path):
+    """fit-quantizer -> train -> encode -> decode -> eval each exit 0 in an
+    interpreter where importing scipy raises ImportError."""
+    cfg = toy_config()
+    cfg.train.steps = 2
+    cfg.train.batch_size = 8
+    cfg.save(tmp_path / "toy.cfg")
+    sr = cfg.model.sample_rate
+    wav = tmp_path / "tone.wav"
+    save_wav(wav, AudioBuffer(synthetic_clip(np.random.default_rng(5), sr, sr), sr))
+    (tmp_path / "eval.tsv").write_text(f"{wav}\t-\tdev\n")
+    code = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from lvrc import cli\n"
+        "d = sys.argv[1]\n"
+        "c, q, m = ['--config', d + '/toy.cfg'], d + '/toy.lvrq', d + '/run/model.ckpt'\n"
+        "runs = [['fit-quantizer', *c, '--synthetic', '16', '--out', q],\n"
+        "        ['train', *c, '--out-dir', d + '/run'],\n"
+        "        ['encode', *c, '--quantizer', q, d + '/tone.wav', d + '/tone.lvrc'],\n"
+        "        ['decode', *c, '--quantizer', q, '--model', m, d + '/tone.lvrc', d + '/out.wav'],\n"
+        "        ['eval', *c, '--model', m, '--quantizer', q, '--manifest', d + '/eval.tsv',\n"
+        "         d + '/report.csv']]\n"
+        "print([cli.main(r) for r in runs])\n"
+        f"print({SCIPY_IN_MODULES})\n"
+    )
+    out = _python("-c", code, str(tmp_path))
+    out.check_returncode()
+    assert out.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"], out.stderr
+    assert len(load_wav(tmp_path / "out.wav").samples) == sr

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 from scipy.signal.windows import kaiser
+from scipy.special import i0
 
 from lvrc.config import paper_config, toy_config
 from lvrc.errors import ConfigError
 from lvrc.filterbank import (
     KAISER_BETA,
     Filterbank,
+    _i0,
     _kaiser,
     _minimize_bounded,
     _unscaled_prototype,
@@ -87,7 +89,18 @@ PRESET_BANKS = [(c.model.fb_taps, c.model.n_bands, KAISER_BETA) for c in (toy_co
 
 
 class TestScipyPorts:
-    """The numpy/scipy.special ports return scipy.signal's and scipy.optimize's bits."""
+    """The numpy ports return scipy.special's, scipy.signal's and scipy.optimize's bits."""
+
+    @pytest.mark.parametrize("taps", [96, 192, 384, 768])
+    def test_i0_at_the_kaiser_arguments(self, taps):
+        alpha = (taps - 1) / 2.0
+        args = KAISER_BETA * np.sqrt(1 - ((np.arange(taps) - alpha) / alpha) ** 2.0)
+        assert np.array_equal([_i0(a) for a in args.tolist()], i0(args))
+        assert _i0(KAISER_BETA) == i0(KAISER_BETA)
+
+    def test_i0_on_uniform_draws(self):
+        x = np.random.default_rng(26).uniform(0.0, 700.0, 10**5)
+        assert np.array_equal([_i0(a) for a in x.tolist()], i0(x))
 
     @pytest.mark.parametrize("taps,beta", [(96, 9.0), (192, 9.0), (64, 8.0), (97, 5.5)])
     def test_kaiser_window(self, taps, beta):

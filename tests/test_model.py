@@ -1,6 +1,7 @@
 """Conditioning stack rates, teacher-forced objective, generation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,18 @@ class TestGenerate:
         assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
         assert all(p.value.dtype == np.float64 for p in model.parameters())
         assert model.weights_checksum() == before
+
+    def test_float32_decode_with_saturated_gates_is_finite_without_a_warning(self):
+        """GRU biases of -200 overflow float32's exp(-x) in the sigmoid: the
+        gates are exactly 0 and the decode loop raises no warning."""
+        model = tiny_model(seed=20)
+        for gate in "zrh":
+            model.gru.params[f"b{gate}"].value[:] = -200.0
+        mels = np.random.default_rng(21).uniform(-12, 0, (8, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = model.generate(mels, np.random.default_rng(22), seconds=0.125).samples
+        assert len(out) == 200 and np.all(np.isfinite(out))
 
     def test_one_gru_step_and_one_draw_per_decode_step(self, monkeypatch):
         counts = {"step": 0, "sample": 0}

@@ -1,8 +1,11 @@
 """Layer gradient checks against central finite differences, optimizer
 and pruning-mask contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from lvrc import neural
 from lvrc.config import TrainConfig
@@ -97,7 +100,52 @@ class TestBlockDiagonal:
             assert fd_rel_error(db, numeric_grad(f, b)) <= TOL
 
 
+def gru_sigmoid(x):
+    """z and r of `GRUCell._update` for gate pre-activations x (1, B, 2hb):
+    a zero state and zero recurrent weights add exactly nothing to x."""
+    batch, hb = x.shape[1], x.shape[2] // 2
+    g = np.concatenate([x, np.zeros((1, batch, hb), x.dtype)], axis=-1)
+    h = np.zeros((1, batch, hb), x.dtype)
+    weights = np.zeros((1, hb, 2 * hb), x.dtype), np.zeros((1, hb, hb), x.dtype)
+    z, r = neural.GRUCell._update(g, h, weights)[:2]
+    return np.concatenate([z, r], axis=-1)
+
+
 class TestGRU:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_within_one_ulp_of_expit(self, dtype):
+        """Within one ulp of 1.0 (eps) of scipy's expit on 10^5 N(0, 4^2) draws.
+
+        Counted in ulps of the result the difference reaches 2 (float64) or
+        4 (float32): the sum 1 + exp(-x) rounds at the ulp of 1 whatever
+        the result's size.
+        """
+        x = np.random.default_rng(26).normal(0.0, 4.0, (1, 1000, 100)).astype(dtype)
+        got = gru_sigmoid(x)
+        assert got.dtype == dtype
+        assert np.max(np.abs(got - expit(x))) <= np.finfo(dtype).eps
+
+    @pytest.mark.parametrize("dtype,big", [(np.float64, 1000.0), (np.float32, 100.0)])
+    def test_sigmoid_saturates_to_exactly_0_and_1(self, dtype, big):
+        """exp(big) overflows; the step loops silence that warning, as here."""
+        x = np.array([[[-big, big]]], dtype)
+        with np.errstate(over="ignore"):
+            assert gru_sigmoid(x).tolist() == [[[0.0, 1.0]]]
+
+    def test_saturated_sequence_keeps_its_state_without_a_warning(self):
+        """Gate pre-activations of -1000 (z) and +1000 (r) make z exactly 0 and r
+        exactly 1, so every state is h0; the overflow raises no warning."""
+        cell = neural.GRUCell(4, np.random.default_rng(0))
+        for tag, p in cell.params.items():
+            p.value[...] = {"bz": -1000.0, "br": 1000.0}.get(tag, 0.0)
+        h0 = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hs, _ = cell.forward_sequence(np.zeros((2, 3, 4)), h0)
+        assert np.array_equal(hs, np.repeat(h0[:, None], 3, axis=1))
+        zr = cell._seq["zr"]
+        assert np.all(zr[..., :4] == 0.0) and np.all(zr[..., 4:] == 1.0)
+
     def test_zero_weights_fixed_point(self):
         cell = neural.GRUCell(4, np.random.default_rng(0))
         for p in cell.params.values():

@@ -224,8 +224,46 @@ class TestTrainingLoop:
         dataset = ClipDataset.synthetic(cfg, n_clips=8)
         result = train(cfg, tmp_path / "run", dataset=dataset)
         header = open(result.metrics_path).readline().strip()
-        assert header == "step,nll,jvar,sigma_mean,sparsity"
+        assert header == "step,nll,jvar,sigma_mean,sparsity,grad_norm,skipped"
         assert len(result.metrics) == 20
+        assert all(m["grad_norm"] > 0.0 and m["skipped"] == 0 for m in result.metrics)
+
+    def test_metrics_count_each_steps_skipped_updates(self, tmp_path, monkeypatch):
+        """A non-finite gradient at step 2 shows as that step's NaN grad_norm
+        and one skipped update; the other steps read 0."""
+        forward = CodecModel.teacher_forced
+        calls = []
+
+        def poisoned(self, *args, **kwargs):
+            res = forward(self, *args, **kwargs)
+            calls.append(1)
+            if len(calls) == 2:
+                self.out_b.grad[0] = np.nan
+            return res
+
+        monkeypatch.setattr(CodecModel, "teacher_forced", poisoned)
+        cfg = short_cfg(steps=3, checkpoint_interval=3)
+        result = train(cfg, tmp_path / "run", dataset=ClipDataset.synthetic(cfg, n_clips=4))
+        assert [m["skipped"] for m in result.metrics] == [0, 1, 0]
+        assert [np.isnan(m["grad_norm"]) for m in result.metrics] == [False, True, False]
+
+    def test_resume_into_another_metrics_layout_rejected(self, tmp_path):
+        """A metrics.csv whose header is not METRICS_HEADER stops a resume in
+        its directory with a FormatError; the run's files keep their bytes."""
+        from lvrc.errors import FormatError
+
+        cfg = short_cfg(steps=2, checkpoint_interval=2)
+        dataset = ClipDataset.synthetic(cfg, n_clips=4)
+        result = train(cfg, tmp_path / "run", dataset=dataset)
+        metrics = tmp_path / "run" / "metrics.csv"
+        old = "".join(",".join(line.split(",")[:5]) + "\r\n"
+                      for line in metrics.read_text().splitlines())
+        metrics.write_text(old)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+        cfg.train.steps = 4
+        with pytest.raises(FormatError, match="header 'step,nll,jvar,sigma_mean,sparsity'"):
+            train(cfg, tmp_path / "run", dataset=dataset, resume_from=result.checkpoint_path)
+        assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
 
     def test_reproducible_and_resumable(self, tmp_path):
         cfg_a = short_cfg(steps=30, checkpoint_interval=15)
